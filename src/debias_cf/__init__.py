@@ -4,99 +4,35 @@ weighting with learned relation-space propensities, a synthetic
 missing-not-at-random click generator, and unbiased top-K evaluation."""
 
 from .data import (
-    Interaction,
     InteractionSet,
     SplitBundle,
-    SyntheticWorld,
     generate_synthetic_world,
-    load_interactions,
     sample_clicks,
     split_unbiased_protocol,
 )
-from .embedding import (
-    EmbeddingTable,
-    ProjectionPair,
-    init_model,
-    load_checkpoint,
-    normalize,
-    save_checkpoint,
-    score_all_items,
-)
+from .embedding import EmbeddingTable, init_model, save_checkpoint
 from .errors import ConfigError, DataError, DebiasCfError, NumericalError
-from .evaluation import (
-    GroupAlignmentReport,
-    MetricsReport,
-    compare_runs,
-    evaluate_topk,
-    group_alignment,
-)
-from .losses import (
-    Batch,
-    LossTerms,
-    alignment_loss,
-    directau_loss,
-    ideal_alignment_loss,
-    relation_directau_loss,
-    unbiased_directau_loss,
-    uniformity_loss,
-    uctrl_total_loss,
-)
-from .propensity import (
-    PropensityEstimate,
-    clip,
-    estimate_item_popularity,
-    estimate_learned,
-    estimate_oracle,
-    project,
-)
-from .trainer import TrainConfig, TrainResult, TrainState, make_batches, train, train_step
+from .evaluation import evaluate_topk
+from .losses import ideal_alignment_loss
+from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch",
     "ConfigError",
     "DataError",
     "DebiasCfError",
     "EmbeddingTable",
-    "GroupAlignmentReport",
-    "Interaction",
     "InteractionSet",
-    "LossTerms",
-    "MetricsReport",
     "NumericalError",
-    "ProjectionPair",
-    "PropensityEstimate",
     "SplitBundle",
-    "SyntheticWorld",
     "TrainConfig",
-    "TrainResult",
-    "TrainState",
-    "alignment_loss",
-    "clip",
-    "compare_runs",
-    "directau_loss",
-    "estimate_item_popularity",
-    "estimate_learned",
-    "estimate_oracle",
     "evaluate_topk",
     "generate_synthetic_world",
-    "group_alignment",
     "ideal_alignment_loss",
     "init_model",
-    "load_checkpoint",
-    "load_interactions",
-    "make_batches",
-    "normalize",
-    "project",
-    "relation_directau_loss",
     "sample_clicks",
     "save_checkpoint",
-    "score_all_items",
     "split_unbiased_protocol",
     "train",
-    "train_step",
-    "uctrl_total_loss",
-    "unbiased_directau_loss",
-    "uniformity_loss",
 ]

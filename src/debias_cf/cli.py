@@ -3,7 +3,9 @@
 Subcommands: split, synth, train, eval, analyze. Every option can also be
 supplied through a flat JSON config file (--config); explicit flags win
 over config-file values, which win over defaults. The effective
-configuration is echoed to resolved-config.json in the output directory.
+configuration is echoed to resolved-config.json in the output directory;
+eval and analyze write resolved-config.<command>.json instead, so they
+never overwrite the snapshot of the run they read.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
@@ -18,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import data as data_mod
-from . import evaluation, propensity, trainer
+from . import evaluation, trainer
 from .embedding import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
 
@@ -142,10 +144,12 @@ def _effective_config(defaults: dict, ns: argparse.Namespace) -> dict:
     return effective
 
 
-def _write_resolved(cfg: dict, command: str, out_dir: Path) -> None:
+def _write_resolved(
+    cfg: dict, command: str, out_dir: Path, name: str = "resolved-config.json"
+) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = {"command": command, **cfg}
-    with open(out_dir / "resolved-config.json", "w", encoding="utf-8") as fh:
+    with open(out_dir / name, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
 
 
@@ -245,13 +249,14 @@ def _cmd_train(cfg: dict) -> int:
         for record in result.history:
             fh.write(json.dumps(record) + "\n")
     if cfg["dump_propensities"]:
-        est = propensity.learned_propensities(
-            result.best_model, result.best_projections, bundle.train.pairs,
-            mu=tcfg.mu,
+        pairs = bundle.train.pairs
+        omega = trainer.learned_propensities(
+            result.best_model, result.best_projections, pairs, tcfg.mu
         )
+        users, items = bundle.train.labels()
         with open(out_dir / "propensities.tsv", "w", encoding="utf-8") as fh:
-            for (u, i), w in zip(bundle.train.pairs, est.values):
-                fh.write(f"{u}\t{i}\t{w:.8f}\n")
+            for (u, i), w in zip(pairs, omega):
+                fh.write(f"{users[u]}\t{items[i]}\t{w:.8f}\n")
     log.info(
         "train: objective=%s best_epoch=%s best_val_ndcg20=%s",
         tcfg.objective, result.best_epoch,
@@ -279,7 +284,7 @@ def _cmd_eval(cfg: dict) -> int:
         with open(out_dir / "per-user.tsv", "w", encoding="utf-8") as fh:
             for user, recall, ndcg in report.per_user:
                 fh.write(f"{user}\t{recall:.8f}\t{ndcg:.8f}\n")
-    _write_resolved(cfg, "eval", out_dir)
+    _write_resolved(cfg, "eval", out_dir, "resolved-config.eval.json")
     _emit_report(payload, cfg["out"])
     return 0
 
@@ -315,7 +320,7 @@ def _cmd_analyze(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "group-alignment.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
-    _write_resolved(cfg, "analyze", out_dir)
+    _write_resolved(cfg, "analyze", out_dir, "resolved-config.analyze.json")
     _emit_report(payload, cfg["out"])
     return 0
 

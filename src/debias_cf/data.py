@@ -83,6 +83,12 @@ class InteractionSet:
     def item_counts(self) -> np.ndarray:
         return np.array([len(b) for b in self.by_item], dtype=np.int64)
 
+    def labels(self) -> tuple[list[str], list[str]]:
+        """User and item labels; an unlabeled side uses its dense indices."""
+        users = self.user_labels or [str(u) for u in range(self.m)]
+        items = self.item_labels or [str(i) for i in range(self.n)]
+        return users, items
+
     def replaced(self, pairs: np.ndarray) -> "InteractionSet":
         """Same dimensions and labels, different pair list."""
         return InteractionSet(self.m, self.n, pairs, self.user_labels, self.item_labels)
@@ -117,6 +123,8 @@ class SyntheticWorld:
             raise DataError("relevance matrix shape mismatch")
         if self.exposure.shape != (self.m, self.n):
             raise DataError("exposure matrix shape mismatch")
+        if not (np.isfinite(self.relevance).all() and np.isfinite(self.exposure).all()):
+            raise DataError("relevance and exposure values must be finite")
         if self.relevance.min() < 0 or self.relevance.max() > 1:
             raise DataError("relevance values must lie in [0, 1]")
         if self.exposure.min() <= 0 or self.exposure.max() > 1:
@@ -284,11 +292,6 @@ def generate_synthetic_world(
     return SyntheticWorld(m, n, relevance, exposure)
 
 
-def exposure_rank_weight_ratio(n: int, skew: float) -> float:
-    """Max/min ratio of the rank-based item exposure weight: n^(skew/2)."""
-    return float(n) ** (skew / 2.0)
-
-
 def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     """Draw one click matrix: cell (u, i) clicks with probability
     exposure * relevance, independently.
@@ -320,8 +323,7 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
 
 
 def _write_pairs_tsv(path: Path, iset: InteractionSet) -> None:
-    users = iset.user_labels or [str(u) for u in range(iset.m)]
-    items = iset.item_labels or [str(i) for i in range(iset.n)]
+    users, items = iset.labels()
     with open(path, "w", encoding="utf-8") as fh:
         for u, i in iset.pairs:
             fh.write(f"{users[u]}\t{items[i]}\n")

@@ -1,6 +1,6 @@
 """Trainable model state: user/item embedding tables and relation-space
-projection matrices, plus L2 normalization helpers, ranking scores, and
-binary checkpoint persistence.
+projection matrices, plus L2 normalization helpers and binary checkpoint
+persistence.
 
 Parameters are held as float32, matching the on-disk checkpoint format so
 that a save/load round trip is bit-exact. Loss and gradient computation
@@ -114,19 +114,6 @@ def init_model(
     return table, proj
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||_2. A vector with norm < DEGENERATE_NORM maps to e1 with a
-    warning instead of raising, so long training runs survive dead rows."""
-    v = np.asarray(v, dtype=np.float64)
-    nrm = float(np.linalg.norm(v))
-    if nrm < DEGENERATE_NORM:
-        log.warning("normalizing a degenerate (near-zero) vector; returning e1")
-        out = np.zeros_like(v)
-        out[0] = 1.0
-        return out
-    return v / nrm
-
-
 def normalize_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise normalize; degenerate rows fall back to e1."""
     out, _, _ = normalize_rows_full(x)
@@ -171,25 +158,6 @@ def normalize_rows_backward(
     if degenerate.any():
         grad[degenerate] = 0.0
     return grad
-
-
-def score_all_items(
-    model: EmbeddingTable, user: int, scoring: str = "dot"
-) -> np.ndarray:
-    """Ranking scores of every item for one user.
-
-    "dot" uses raw inner products, "cosine" the inner products of the
-    L2-normalized vectors (the geometry the losses operate on).
-    """
-    if not 0 <= user < model.m:
-        raise ConfigError(f"user index {user} out of range [0, {model.m})")
-    u = model.user_vecs[user].astype(np.float64)
-    items = model.item_vecs.astype(np.float64)
-    if scoring == "dot":
-        return items @ u
-    if scoring == "cosine":
-        return normalize_rows(items) @ normalize(u)
-    raise ConfigError(f"unknown scoring rule: {scoring!r}")
 
 
 def _f32_bytes(a: np.ndarray) -> bytes:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InteractionSet
-from .embedding import EmbeddingTable, normalize, normalize_rows
+from .embedding import EmbeddingTable, normalize_rows
 from .errors import ConfigError, DataError
 from .losses import pair_sq_dists
 
@@ -262,17 +262,3 @@ def group_alignment(
         unpop_item_align=group_mean(~in_pop_i, "unpopular-items"),
         split_ratio=ratio,
     )
-
-
-def compare_runs(reports: list[MetricsReport]) -> dict:
-    """Mean and sample standard deviation of each metric across runs."""
-    if len(reports) < 2:
-        raise ConfigError("compare_runs needs at least 2 reports")
-    out = {"n_runs": len(reports), "k": reports[0].k}
-    for metric in ("recall_at_k", "ndcg_at_k"):
-        values = np.array([getattr(r, metric) for r in reports], dtype=np.float64)
-        out[metric] = {
-            "mean": float(values.mean()),
-            "std": float(values.std(ddof=1)),
-        }
-    return out

@@ -28,7 +28,6 @@ know about normalization.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -41,50 +40,8 @@ from .embedding import (
     normalize_rows_backward,
     normalize_rows_full,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .propensity import project_rows
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class Batch:
-    """One minibatch of positive pairs with pre-normalized vectors.
-
-    weights are per-pair inverse-propensity weights; all ones in biased
-    mode. user_vecs_norm / item_vecs_norm carry one row per pair, so a user
-    or item occurring in several pairs appears several times; combiners
-    deduplicate by id before computing uniformity.
-    """
-
-    pairs: np.ndarray  # (B, 2) int64
-    user_vecs_norm: np.ndarray  # (B, d)
-    item_vecs_norm: np.ndarray  # (B, d)
-    weights: np.ndarray  # (B,)
-
-    def __post_init__(self):
-        self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        self.user_vecs_norm = np.asarray(self.user_vecs_norm, dtype=np.float64)
-        self.item_vecs_norm = np.asarray(self.item_vecs_norm, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        b = len(self.pairs)
-        if self.user_vecs_norm.shape[0] != b or self.item_vecs_norm.shape[0] != b:
-            raise ConfigError("batch vector rows must match the number of pairs")
-        if self.weights.shape != (b,):
-            raise ConfigError("batch weights must be one scalar per pair")
-        if b:
-            for name, arr in (
-                ("user", self.user_vecs_norm),
-                ("item", self.item_vecs_norm),
-            ):
-                norms = np.linalg.norm(arr, axis=1)
-                if np.abs(norms - 1.0).max() > 1e-6:
-                    raise ConfigError(f"batch {name} vectors are not unit norm")
-            if self.weights.min() <= 0:
-                raise ConfigError("batch weights must be strictly positive")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass
@@ -147,87 +104,6 @@ def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-# ---------------------------------------------------------------------------
-# Batch-level operations
-# ---------------------------------------------------------------------------
-
-
-def alignment_loss(batch: Batch) -> float:
-    """Weighted alignment of a batch. Unit weights give the click-biased
-    form; weights 1/omega give the inverse-propensity-weighted form."""
-    if len(batch) == 0:
-        raise ConfigError("alignment needs a non-empty batch")
-    value, _, _ = alignment_value_grad(
-        batch.user_vecs_norm, batch.item_vecs_norm, batch.weights
-    )
-    return value
-
-
-def uniformity_loss(vecs: np.ndarray) -> float:
-    value, _ = uniformity_value_grad(vecs)
-    return value
-
-
-def _dedup_rows(ids: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """One vector per distinct id (ids repeated within a batch reference the
-    same parameter row, so their vectors are identical)."""
-    _, first = np.unique(ids, return_index=True)
-    return vecs[first]
-
-
-def _side_uniformity(ids: np.ndarray, vecs: np.ndarray) -> float:
-    """Uniformity over deduplicated rows; a side with fewer than two
-    distinct entities has no distinct pair and contributes zero."""
-    unique = _dedup_rows(ids, vecs)
-    if unique.shape[0] < 2:
-        log.debug("uniformity side has < 2 distinct entities; contributing 0")
-        return 0.0
-    return uniformity_loss(unique)
-
-
-def _combine(batch: Batch, align: float, coeff: float, is_relation: bool) -> LossTerms:
-    uu = _side_uniformity(batch.pairs[:, 0], batch.user_vecs_norm)
-    ui = _side_uniformity(batch.pairs[:, 1], batch.item_vecs_norm)
-    total = align + coeff * (uu + ui) / 2.0
-    if is_relation:
-        return LossTerms(align, uu, ui, total, lambda_rel=coeff)
-    return LossTerms(align, uu, ui, total, gamma=coeff)
-
-
-def directau_loss(batch: Batch, gamma: float) -> LossTerms:
-    """Biased objective: unit-weight alignment plus gamma-weighted mean of
-    user and item uniformity."""
-    if gamma < 0:
-        raise ConfigError("gamma must be >= 0")
-    if not np.all(batch.weights == 1.0):
-        raise ConfigError("the biased objective expects unit weights")
-    return _combine(batch, alignment_loss(batch), gamma, is_relation=False)
-
-
-def unbiased_directau_loss(batch: Batch, gamma: float) -> LossTerms:
-    """Debiased objective: inverse-propensity weighted alignment; the
-    uniformity terms stay unweighted."""
-    if gamma < 0:
-        raise ConfigError("gamma must be >= 0")
-    return _combine(batch, alignment_loss(batch), gamma, is_relation=False)
-
-
-def relation_directau_loss(batch: Batch, lambda_rel: float) -> LossTerms:
-    """Same combination evaluated on normalized relation-space projections;
-    used to train the projection matrices on click data."""
-    if lambda_rel < 0:
-        raise ConfigError("lambda_rel must be >= 0")
-    if not np.all(batch.weights == 1.0):
-        raise ConfigError("the relation objective expects unit weights")
-    return _combine(batch, alignment_loss(batch), lambda_rel, is_relation=True)
-
-
-def uctrl_total_loss(unbiased: LossTerms, relation: LossTerms) -> float:
-    """Joint objective: debiased loss in the original space plus the
-    projection-training loss in the relation space."""
-    return unbiased.total + relation.total
-
-
 def ideal_alignment_loss(
     model: EmbeddingTable, world: SyntheticWorld, pair_set: InteractionSet
 ) -> float:
@@ -262,15 +138,16 @@ def _accumulate_side(
     coeff: float,
 ) -> tuple[np.ndarray, float]:
     """Scatter per-pair alignment gradients onto unique rows and add the
-    uniformity gradient (rows are already one-per-entity)."""
+    uniformity gradient (rows are already one-per-entity). A side with
+    fewer than two distinct entities has no distinct pair and contributes
+    zero uniformity."""
     grad = np.zeros_like(rows_norm)
     np.add.at(grad, inv, pair_grads)
     unif = 0.0
-    if n_rows >= 2 and coeff != 0.0:
+    if n_rows >= 2:
         unif, g_unif = uniformity_value_grad(rows_norm)
-        grad += (coeff / 2.0) * g_unif
-    elif n_rows >= 2:
-        unif = uniformity_loss(rows_norm)
+        if coeff != 0.0:
+            grad += (coeff / 2.0) * g_unif
     return grad, unif
 
 
@@ -303,8 +180,9 @@ def dau_param_grads(
 
 @dataclass
 class RelationForward:
-    """Intermediates of the relation-space forward pass, kept for the
-    optional propensity gradient-through path."""
+    """Intermediates of the relation-space forward pass. The normalized
+    projections give the learned propensities; the norms feed the backward
+    passes."""
 
     proj_user_norm: np.ndarray  # (U, d) normalized projected user rows
     proj_item_norm: np.ndarray  # (I, d)
@@ -312,6 +190,18 @@ class RelationForward:
     zu_deg: np.ndarray
     zi_norms: np.ndarray
     zi_deg: np.ndarray
+
+
+def relation_forward(
+    base_user_norm: np.ndarray,
+    base_item_norm: np.ndarray,
+    m_user: np.ndarray,
+    m_item: np.ndarray,
+) -> RelationForward:
+    """Project normalized base rows into the relation space and normalize."""
+    pu, zu_norms, zu_deg = normalize_rows_full(project_rows(base_user_norm, m_user))
+    pi, zi_norms, zi_deg = normalize_rows_full(project_rows(base_item_norm, m_item))
+    return RelationForward(pu, pi, zu_norms, zu_deg, zi_norms, zi_deg)
 
 
 def relation_param_grads(
@@ -325,21 +215,18 @@ def relation_param_grads(
 ) -> tuple[LossTerms, np.ndarray, np.ndarray, RelationForward]:
     """Relation-space objective and gradients w.r.t. the projection
     matrices only; the base normalized embeddings are constants here."""
-    zu = project_rows(base_user_norm, m_user)
-    zi = project_rows(base_item_norm, m_item)
-    pu, zu_norms, zu_deg = normalize_rows_full(zu)
-    pi, zi_norms, zi_deg = normalize_rows_full(zi)
+    forward = relation_forward(base_user_norm, base_item_norm, m_user, m_item)
+    pu, pi = forward.proj_user_norm, forward.proj_item_norm
     ones = np.ones(len(u_inv), dtype=np.float64)
     align, g_ppu, g_ppi = alignment_value_grad(pu[u_inv], pi[i_inv], ones)
     grad_pu, uu = _accumulate_side(pu.shape[0], u_inv, g_ppu, pu, lambda_rel)
     grad_pi, ui = _accumulate_side(pi.shape[0], i_inv, g_ppi, pi, lambda_rel)
-    grad_zu = normalize_rows_backward(pu, zu_norms, zu_deg, grad_pu)
-    grad_zi = normalize_rows_backward(pi, zi_norms, zi_deg, grad_pi)
+    grad_zu = normalize_rows_backward(pu, forward.zu_norms, forward.zu_deg, grad_pu)
+    grad_zi = normalize_rows_backward(pi, forward.zi_norms, forward.zi_deg, grad_pi)
     grad_mu = grad_zu.T @ base_user_norm
     grad_mi = grad_zi.T @ base_item_norm
     total = align + lambda_rel * (uu + ui) / 2.0
     terms = LossTerms(align, uu, ui, total, lambda_rel=lambda_rel)
-    forward = RelationForward(pu, pi, zu_norms, zu_deg, zi_norms, zi_deg)
     return terms, grad_mu, grad_mi, forward
 
 

@@ -1,7 +1,7 @@
 """Propensity estimation: how likely was each clicked pair to be observed.
 
-Three interchangeable sources produce per-pair observation probabilities
-used as inverse weights in the debiased alignment term:
+Three interchangeable sources produce raw per-pair observation
+probabilities omega:
 
 * learned    - sigmoid of the dot product of L2-normalized relation-space
                projections of the user and item vectors. Because the dot of
@@ -10,56 +10,26 @@ used as inverse weights in the debiased alignment term:
                default floor mu = 0.1 the clip never binds for this source.
 * oracle     - ground-truth exposure looked up from a SyntheticWorld
                (testing and diagnostics only).
-* item_popularity - (item count / max count)^eta, a popularity baseline
+* item popularity - (item count / max count)^eta, a popularity baseline
                that depends on the item alone.
 
-All sources are capped strictly below 1 and floored at mu where they are
-consumed as inverse weights.
+inverse_weights turns raw omega of any source into the alignment weights:
+cap strictly below 1, floor at mu, invert.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import InteractionSet, SyntheticWorld
-from .embedding import EmbeddingTable, ProjectionPair, normalize_rows
 from .errors import ConfigError, DataError
 from .util import debug_enabled, sigmoid
-
-log = logging.getLogger(__name__)
 
 #: Propensities are kept strictly below 1 so inverse weights stay above 1.
 UPPER_CAP = 1.0 - 1e-6
 
 #: Default clipping floor.
 DEFAULT_MU = 0.1
-
-SOURCES = ("learned", "oracle", "item_popularity")
-
-
-@dataclass
-class PropensityEstimate:
-    """Clipped per-pair observation probabilities plus their provenance."""
-
-    values: np.ndarray  # (B,) float64 in [mu, 1)
-    source: str
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ConfigError(f"unknown propensity source {self.source!r}")
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.isfinite(v).all():
-            raise DataError("non-finite propensity values")
-        if len(v) and (v.min() <= 0 or v.max() >= 1):
-            raise DataError("propensity values must lie strictly inside (0, 1)")
-        self.values = v
-
-    def weights(self) -> np.ndarray:
-        """Inverse-propensity weights."""
-        return 1.0 / self.values
 
 
 def clip(w, mu: float = DEFAULT_MU):
@@ -85,21 +55,6 @@ def project_rows(base_norm: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return base_norm @ matrix.T
 
 
-def project(
-    model: EmbeddingTable, projections: ProjectionPair, pairs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair projected (not yet re-normalized) user and item vectors,
-    computed from the L2-normalized base embeddings."""
-    if projections.d != model.d:
-        raise ConfigError("projection dimension does not match embedding dimension")
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    u_norm = normalize_rows(model.user_vecs[pairs[:, 0]].astype(np.float64))
-    i_norm = normalize_rows(model.item_vecs[pairs[:, 1]].astype(np.float64))
-    return project_rows(u_norm, projections.m_user), project_rows(
-        i_norm, projections.m_item
-    )
-
-
 def estimate_learned(proj_u_norm: np.ndarray, proj_i_norm: np.ndarray):
     """sigmoid of the rowwise dot of normalized projected vectors.
 
@@ -120,36 +75,19 @@ def estimate_learned(proj_u_norm: np.ndarray, proj_i_norm: np.ndarray):
     return out
 
 
-def learned_propensities(
-    model: EmbeddingTable,
-    projections: ProjectionPair,
-    pairs: np.ndarray,
-    mu: float = DEFAULT_MU,
-) -> PropensityEstimate:
-    """Full learned pipeline: project, normalize, sigmoid-dot, clip."""
-    proj_u, proj_i = project(model, projections, pairs)
-    raw = estimate_learned(normalize_rows(proj_u), normalize_rows(proj_i))
-    return PropensityEstimate(clip(np.minimum(raw, UPPER_CAP), mu), "learned")
-
-
-def estimate_oracle(
-    world: SyntheticWorld, pairs: np.ndarray, mu: float = DEFAULT_MU
-) -> PropensityEstimate:
-    """Ground-truth exposure lookup, clipped like every other source."""
+def estimate_oracle(world: SyntheticWorld, pairs: np.ndarray) -> np.ndarray:
+    """Ground-truth exposure of each pair."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(pairs):
         if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= world.m:
             raise DataError("pair user index outside world bounds")
         if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= world.n:
             raise DataError("pair item index outside world bounds")
-    omega = world.exposure[pairs[:, 0], pairs[:, 1]].astype(np.float64)
-    return PropensityEstimate(clip(np.minimum(omega, UPPER_CAP), mu), "oracle")
+    return world.exposure[pairs[:, 0], pairs[:, 1]].astype(np.float64)
 
 
-def item_popularity_weights(
-    train: InteractionSet, exponent: float = 0.5, mu: float = DEFAULT_MU
-) -> np.ndarray:
-    """Per-item propensity table: (count / max count)^exponent, clipped.
+def item_popularity_table(train: InteractionSet, exponent: float = 0.5) -> np.ndarray:
+    """Per-item propensity table: (count / max count)^exponent.
 
     exponent=0 collapses every item to the same weight, reducing the
     weighted alignment to the unweighted one up to a constant scale.
@@ -159,18 +97,13 @@ def item_popularity_weights(
     if len(train) == 0:
         raise DataError("popularity propensities need a non-empty training set")
     counts = train.item_counts().astype(np.float64)
-    rel = counts / counts.max()
-    return clip(np.minimum(rel**exponent, UPPER_CAP), mu)
+    return (counts / counts.max()) ** exponent
 
 
-def estimate_item_popularity(
-    train: InteractionSet,
-    pairs: np.ndarray,
-    exponent: float = 0.5,
-    mu: float = DEFAULT_MU,
-) -> PropensityEstimate:
-    """Popularity-baseline estimate for specific pairs; depends only on the
-    item index of each pair."""
-    table = item_popularity_weights(train, exponent, mu)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return PropensityEstimate(table[pairs[:, 1]], "item_popularity")
+def inverse_weights(
+    omega_raw: np.ndarray, mu: float = DEFAULT_MU
+) -> tuple[np.ndarray, np.ndarray]:
+    """Turn raw propensities into (omega, weights): omega is capped at
+    UPPER_CAP and floored at mu, and weights = 1 / omega."""
+    omega = clip(np.minimum(omega_raw, UPPER_CAP), mu)
+    return omega, 1.0 / omega

@@ -23,10 +23,11 @@ from .embedding import (
     EmbeddingTable,
     ProjectionPair,
     init_model,
+    normalize_rows,
     normalize_rows_full,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .util import debug_enabled, rng_from, sigmoid
+from .util import debug_enabled, rng_from
 
 log = logging.getLogger(__name__)
 
@@ -57,9 +58,6 @@ class TrainConfig:
     # embeddings, even steps projections) instead of the default
     # single-pass update of both per batch.
     alternating: bool = False
-    # Diagnostic only: run the joint objective with all alignment weights
-    # forced to 1 (the embedding path then matches the biased objective).
-    force_unit_weights: bool = False
 
     def validate(self) -> "TrainConfig":
         if self.objective not in OBJECTIVES:
@@ -198,28 +196,6 @@ def _check_finite_grads(grads: dict[str, np.ndarray], step: int) -> None:
             )
 
 
-def _batch_weights(
-    objective: str,
-    pairs: np.ndarray,
-    config: TrainConfig,
-    world: SyntheticWorld | None,
-    pop_table: np.ndarray | None,
-) -> np.ndarray | None:
-    """Weights for the non-learned sources; None means compute learned."""
-    b = len(pairs)
-    if objective == "directau" or config.force_unit_weights:
-        return np.ones(b, dtype=np.float64)
-    if objective == "ipw_align_oracle":
-        if world is None:
-            raise ConfigError("objective ipw_align_oracle requires a synthetic world")
-        return propensity.estimate_oracle(world, pairs, config.mu).weights()
-    if objective == "ipw_align_pop":
-        if pop_table is None:
-            raise ConfigError("objective ipw_align_pop requires popularity weights")
-        return 1.0 / pop_table[pairs[:, 1]]
-    return None  # learned, computed from the relation projections
-
-
 def train_step(
     state: TrainState,
     pairs: np.ndarray,
@@ -237,8 +213,7 @@ def train_step(
 
     relation_terms = None
     grads: dict[str, np.ndarray] = {}
-    weights = _batch_weights(config.objective, pairs, config, world, pop_table)
-
+    omega_raw = None
     if config.objective == "uctrl":
         base_u_norm, _, _ = normalize_rows_full(user_rows)
         base_i_norm, _, _ = normalize_rows_full(item_rows)
@@ -251,22 +226,28 @@ def train_step(
             proj.m_item.astype(np.float64),
             config.lambda_rel,
         )
-        if weights is None:
-            dots = np.einsum(
-                "bd,bd->b",
-                forward.proj_user_norm[u_inv],
-                forward.proj_item_norm[i_inv],
-            )
-            omega_raw = sigmoid(dots)
-            omega = propensity.clip(omega_raw, config.mu)
-            weights = 1.0 / omega
-        else:
-            omega_raw = None
-
-        main_terms, g_user, g_item = losses.dau_param_grads(
-            user_rows, item_rows, u_inv, i_inv, weights, config.gamma
+        omega_raw = propensity.estimate_learned(
+            forward.proj_user_norm[u_inv], forward.proj_item_norm[i_inv]
         )
-        if config.propensity_grad_through and omega_raw is not None:
+    elif config.objective == "ipw_align_oracle":
+        if world is None:
+            raise ConfigError("objective ipw_align_oracle requires a synthetic world")
+        omega_raw = propensity.estimate_oracle(world, pairs)
+    elif config.objective == "ipw_align_pop":
+        if pop_table is None:
+            raise ConfigError("objective ipw_align_pop requires a popularity table")
+        omega_raw = pop_table[pairs[:, 1]]
+
+    if omega_raw is None:
+        weights = np.ones(len(pairs), dtype=np.float64)
+    else:
+        _, weights = propensity.inverse_weights(omega_raw, config.mu)
+    main_terms, g_user, g_item = losses.dau_param_grads(
+        user_rows, item_rows, u_inv, i_inv, weights, config.gamma
+    )
+
+    if config.objective == "uctrl":
+        if config.propensity_grad_through:
             d2 = losses.pair_sq_dists(base_u_norm[u_inv], base_i_norm[i_inv])
             extra_mu, extra_mi = losses.ipw_through_projection_grads(
                 forward,
@@ -282,10 +263,6 @@ def train_step(
             g_mi = g_mi + extra_mi
         grads["m_user"] = g_mu
         grads["m_item"] = g_mi
-    else:
-        main_terms, g_user, g_item = losses.dau_param_grads(
-            user_rows, item_rows, u_inv, i_inv, weights, config.gamma
-        )
 
     # Dense gradients: rows outside the batch carry zero gradient but still
     # see momentum decay, the standard dense-Adam semantics.
@@ -327,6 +304,24 @@ def train_step(
     return StepTerms(main_terms, relation_terms, total)
 
 
+def learned_propensities(
+    model: EmbeddingTable, projections: ProjectionPair, pairs: np.ndarray, mu: float
+) -> np.ndarray:
+    """Clipped learned propensity of each pair, the omega whose inverse
+    train_step uses as the uctrl alignment weight."""
+    forward = losses.relation_forward(
+        normalize_rows(model.user_vecs.astype(np.float64)),
+        normalize_rows(model.item_vecs.astype(np.float64)),
+        projections.m_user.astype(np.float64),
+        projections.m_item.astype(np.float64),
+    )
+    omega_raw = propensity.estimate_learned(
+        forward.proj_user_norm[pairs[:, 0]], forward.proj_item_norm[pairs[:, 1]]
+    )
+    omega, _ = propensity.inverse_weights(omega_raw, mu)
+    return omega
+
+
 def _default_eval(model, train, validation, scoring):
     report = evaluation.evaluate_topk(
         model, train, validation, k=SELECTION_K, scoring=scoring
@@ -357,9 +352,7 @@ def train(
 
     pop_table = None
     if config.objective == "ipw_align_pop":
-        pop_table = propensity.item_popularity_weights(
-            train_set, config.pop_exponent, config.mu
-        )
+        pop_table = propensity.item_popularity_table(train_set, config.pop_exponent)
 
     state = init_state(train_set.m, train_set.n, config)
     can_eval = eval_fn is not None or len(data.validation) > 0

@@ -75,6 +75,14 @@ def brute_force_topk(user_vecs, item_vecs, train_items, test_items, k):
     return float(np.mean(recalls)), float(np.mean(ndcgs)), per_user
 
 
+def unit_inverse_weights(omega_raw, mu):
+    """Stand-in for propensity.inverse_weights that sets every propensity
+    and alignment weight to 1; the embedding update then matches the
+    biased objective's."""
+    ones = np.ones(len(omega_raw), dtype=np.float64)
+    return ones, ones
+
+
 def random_interaction_set(rng, m=None, n=None, density=0.3, ensure_users=True):
     """Random InteractionSet; with ensure_users every user gets >= 1 pair."""
     m = m or int(rng.integers(2, 12))

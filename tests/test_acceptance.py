@@ -15,7 +15,13 @@ from debias_cf.data import InteractionSet, generate_synthetic_world, sample_clic
 from debias_cf.embedding import init_model, normalize_rows, save_checkpoint, load_checkpoint
 from debias_cf.trainer import TrainConfig, train, train_step, init_state
 from debias_cf.util import sigmoid
-from conftest import brute_force_topk, central_difference, max_relative_error, random_interaction_set
+from conftest import (
+    brute_force_topk,
+    central_difference,
+    max_relative_error,
+    random_interaction_set,
+    unit_inverse_weights,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -49,27 +55,23 @@ def test_criterion_1_estimator_unbiasedness():
     i_norm = normalize_rows(model.item_vecs.astype(np.float64))
     prob = world.exposure.astype(np.float64) * world.relevance.astype(np.float64)
     cells = grid.pairs
-    oracle = propensity.estimate_oracle(world, cells, mu=0.005)  # floor inactive
-    weights_all = oracle.weights()
+    # mu sits below the world's exposure floor, so the clip never binds
+    _, weights_all = propensity.inverse_weights(
+        propensity.estimate_oracle(world, cells), mu=0.005
+    )
 
     rng = np.random.default_rng(2024)
     ipw_vals, biased_vals = [], []
     for _ in range(500):
         clicked = rng.random(m * n) < prob.ravel()
         idx = np.flatnonzero(clicked)
-        batch = losses.Batch(
-            cells[idx],
-            u_norm[cells[idx, 0]],
-            i_norm[cells[idx, 1]],
-            weights_all[idx],
-        )
+        u_batch = u_norm[cells[idx, 0]]
+        i_batch = i_norm[cells[idx, 1]]
+        ipw, _, _ = losses.alignment_value_grad(u_batch, i_batch, weights_all[idx])
         # fixed-size normalizer: rescale the batch mean by B / |cells|
-        ipw_vals.append(dc.alignment_loss(batch) * len(idx) / len(cells))
-        unit = losses.Batch(
-            batch.pairs, batch.user_vecs_norm, batch.item_vecs_norm,
-            np.ones(len(idx)),
-        )
-        biased_vals.append(dc.alignment_loss(unit))
+        ipw_vals.append(ipw * len(idx) / len(cells))
+        biased, _, _ = losses.alignment_value_grad(u_batch, i_batch, np.ones(len(idx)))
+        biased_vals.append(biased)
 
     ipw_rel = abs(np.mean(ipw_vals) - ideal) / ideal
     biased_rel = abs(np.mean(biased_vals) - ideal) / ideal
@@ -230,7 +232,7 @@ def test_criterion_2b_grad_through_matches_unfrozen_fd():
     assert max_relative_error(g_mi, fd_mi) < 1e-4
 
 
-def test_criterion_3_gradient_partition():
+def test_criterion_3_gradient_partition(monkeypatch):
     """Exact single-step tensor equalities: the relation term touches only
     projections, the weighted-alignment term touches only embeddings."""
     world = generate_synthetic_world(20, 25, 1.0, seed=3)
@@ -266,8 +268,10 @@ def test_criterion_3_gradient_partition():
 
     # Changing the alignment weights (unit vs learned) must not change the
     # projection update while clearly changing the embedding update.
-    e = one_step(force_unit_weights=True)
-    f = one_step(force_unit_weights=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(propensity, "inverse_weights", unit_inverse_weights)
+        e = one_step()
+    f = one_step()
     projections_unaffected_by_weights = np.array_equal(
         e.projections.m_user, f.projections.m_user
     )
@@ -297,8 +301,10 @@ def test_criterion_4_propensity_range_and_clip():
 
     world = generate_synthetic_world(10, 30, 2.0, seed=5)
     low_cells = np.argwhere(world.exposure < 0.1)
-    est = propensity.estimate_oracle(world, low_cells, mu=0.1)
-    clip_active = len(low_cells) > 0 and bool(np.all(est.values == 0.1))
+    omega, _ = propensity.inverse_weights(
+        propensity.estimate_oracle(world, low_cells), mu=0.1
+    )
+    clip_active = len(low_cells) > 0 and bool(np.all(omega == 0.1))
 
     ok = in_band and clip_inactive and clip_active
     report(

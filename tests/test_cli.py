@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ class TestPipeline:
             "unpop_item_align",
         }
 
+        # eval and analyze keep the training snapshot and write their own
+        for name, command in (
+            ("resolved-config.json", "train"),
+            ("resolved-config.eval.json", "eval"),
+            ("resolved-config.analyze.json", "analyze"),
+        ):
+            assert json.loads((out / name).read_text())["command"] == command
+
     def test_resolved_config_written_with_seeds(self, tmp_path):
         out = run_pipeline(tmp_path)
         resolved = json.loads((out / "resolved-config.json").read_text())
@@ -66,6 +75,29 @@ class TestPipeline:
         assert len(rows) > 0
         user, item, omega = rows[0].split("\t")
         assert 0.0 < float(omega) < 1.0
+
+    def test_dump_propensities_writes_log_ids(self, tmp_path):
+        rng = np.random.default_rng(3)
+        log = tmp_path / "log.tsv"
+        log.write_text("".join(
+            f"user-{u}\titem-{i}\n"
+            for u in range(30) for i in range(40) if rng.random() < 0.3
+        ))
+        out = tmp_path / "run"
+        assert main([
+            "split", "--data", str(log), "--out-dir", str(out), "--quiet",
+        ]) == 0
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(out),
+            "--objective", "uctrl", "--d", "4", "--epochs", "1",
+            "--dump-propensities", "--quiet",
+        ]) == 0
+        train_rows = set((out / "train.tsv").read_text().splitlines())
+        dumped = (out / "propensities.tsv").read_text().splitlines()
+        assert len(dumped) == len(train_rows)
+        for row in dumped:
+            user, item, _ = row.split("\t")
+            assert f"{user}\t{item}" in train_rows
 
 
 class TestErrors:
@@ -153,3 +185,20 @@ class TestOracleObjective:
             "--eval-every", "1", "--quiet",
         ]) == 0
         assert (out / "checkpoint.bin").exists()
+
+    def test_nan_world_is_data_error(self, tmp_path):
+        out = tmp_path / "r"
+        assert main([
+            "synth", "--m", "20", "--n", "30", "--seed", "3",
+            "--out-dir", str(out), "--quiet",
+        ]) == 0
+        world = out / "world.bin"
+        raw = bytearray(world.read_bytes())
+        offset = 4 + 4 + 16 + 4 * 20 * 30  # first exposure cell
+        raw[offset : offset + 4] = struct.pack("<f", float("nan"))
+        world.write_bytes(bytes(raw))
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(out),
+            "--objective", "ipw_align_oracle", "--d", "4", "--epochs", "1",
+            "--quiet",
+        ]) == 2

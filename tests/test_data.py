@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,9 +149,6 @@ class TestSyntheticWorld:
         for row in world.exposure:
             assert np.all(row == row[0])
 
-    def test_rank_weight_ratio(self):
-        assert dm.exposure_rank_weight_ratio(100, 2.0) >= 100.0
-
     def test_deterministic(self):
         a = dm.generate_synthetic_world(6, 7, 1.5, seed=9)
         b = dm.generate_synthetic_world(6, 7, 1.5, seed=9)
@@ -199,6 +198,14 @@ class TestSampleClicks:
         assert np.array_equal(a.pairs, b.pairs)
 
 
+def nan_exposure_cell(path, m, n):
+    """Overwrite the first exposure cell of an m x n world file with NaN."""
+    raw = bytearray(path.read_bytes())
+    offset = 4 + 4 + 16 + 4 * m * n  # header, then the relevance matrix
+    raw[offset : offset + 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+
+
 class TestPersistence:
     def test_split_round_trip(self, tmp_path):
         iset = _full_set(6, 5)
@@ -221,6 +228,18 @@ class TestPersistence:
         loaded = dm.load_world(path)
         assert np.array_equal(world.relevance, loaded.relevance)
         assert np.array_equal(world.exposure, loaded.exposure)
+
+    def test_world_with_nan_cell_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="finite"):
+            dm.SyntheticWorld(
+                2, 2, np.full((2, 2), 0.5), np.array([[0.5, np.nan], [0.5, 0.5]])
+            )
+        world = dm.generate_synthetic_world(3, 4, 1.0, seed=2)
+        path = tmp_path / "world.bin"
+        dm.save_world(world, path)
+        nan_exposure_cell(path, 3, 4)
+        with pytest.raises(DataError, match="finite"):
+            dm.load_world(path)
 
     def test_world_corruption_detected(self, tmp_path):
         world = dm.generate_synthetic_world(4, 4, 1.0, seed=1)

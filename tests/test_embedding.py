@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from debias_cf import embedding as em
+from debias_cf.data import InteractionSet
+from debias_cf.evaluation import evaluate_topk
 from debias_cf.errors import DataError
 
 
@@ -31,18 +33,23 @@ class TestInitModel:
         assert abs(model.user_vecs.mean()) < 3 * sigma_of_mean
 
 
+def normalize(v):
+    """One vector through the row-wise normalization."""
+    return em.normalize_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
+
+
 class TestNormalize:
     def test_three_four_five(self):
-        out = em.normalize(np.array([3.0, 4.0]))
+        out = normalize(np.array([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
     def test_unit_vector_unchanged(self):
         v = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(em.normalize(v), v)
+        assert np.allclose(normalize(v), v)
 
     def test_zero_vector_falls_back_to_e1(self, caplog):
         with caplog.at_level(logging.WARNING):
-            out = em.normalize(np.zeros(4))
+            out = normalize(np.zeros(4))
         assert np.array_equal(out, [1.0, 0.0, 0.0, 0.0])
         assert any("degenerate" in r.message for r in caplog.records)
 
@@ -55,8 +62,8 @@ class TestNormalize:
         ).filter(lambda v: np.linalg.norm(v) > 1e-6)
     )
     def test_idempotent(self, v):
-        once = em.normalize(v)
-        twice = em.normalize(once)
+        once = normalize(v)
+        twice = normalize(once)
         assert np.allclose(once, twice, atol=1e-12)
         assert abs(np.linalg.norm(once) - 1.0) < 1e-6
 
@@ -75,38 +82,53 @@ class TestNormalize:
         assert max_relative_error(grad, fd) < 1e-6
 
 
+def table(user_vecs, item_vecs):
+    user_vecs = np.asarray(user_vecs, dtype=np.float32)
+    item_vecs = np.asarray(item_vecs, dtype=np.float32)
+    return em.EmbeddingTable(
+        user_vecs.shape[0], item_vecs.shape[0], user_vecs.shape[1],
+        user_vecs, item_vecs,
+    )
+
+
+def interactions(m, n, pairs):
+    return InteractionSet(m, n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def ranks(model, user, scoring):
+    """1-based rank of every item for one user under evaluate_topk, read off
+    the NDCG of a single held-out item ranked over all items."""
+    empty = interactions(model.m, model.n, np.zeros((0, 2)))
+    out = []
+    for item in range(model.n):
+        test = interactions(model.m, model.n, [[user, item]])
+        report = evaluate_topk(model, empty, test, k=model.n, scoring=scoring)
+        out.append(round(2.0 ** (1.0 / report.ndcg_at_k) - 1.0))
+    return np.array(out)
+
+
 class TestScoreAllItems:
+    """Item scores for a user, as evaluate_topk (the one scoring path)
+    ranks them."""
+
     def test_basis_vectors(self):
-        model = em.EmbeddingTable(
-            1, 3, 3,
-            np.array([[0.0, 1.0, 0.0]], dtype=np.float32),
-            np.eye(3, dtype=np.float32),
-        )
-        assert np.allclose(em.score_all_items(model, 0, "dot"), [0, 1, 0])
+        model = table([[0.0, 1.0, 0.0]], np.eye(3))
+        # dot scores [0, 1, 0]; the tie between items 0 and 2 goes to item 0
+        assert np.array_equal(ranks(model, 0, "dot"), [2, 1, 3])
 
     def test_cosine_invariant_to_item_rescaling(self, rng):
         item_vecs = rng.normal(size=(8, 4)).astype(np.float32)
-        model = em.EmbeddingTable(
-            2, 8, 4, rng.normal(size=(2, 4)).astype(np.float32), item_vecs
-        )
-        base = em.score_all_items(model, 0, "cosine")
+        model = table(rng.normal(size=(2, 4)), item_vecs)
+        base = ranks(model, 0, "cosine")
         scaled = item_vecs.copy()
         scaled[3] *= 5.0
-        model2 = em.EmbeddingTable(2, 8, 4, model.user_vecs, scaled)
-        after = em.score_all_items(model2, 0, "cosine")
-        assert np.allclose(base, after, atol=1e-12)
-        assert np.array_equal(np.argsort(-base), np.argsort(-after))
+        after = ranks(table(model.user_vecs, scaled), 0, "cosine")
+        assert np.array_equal(base, after)
 
     def test_cosine_equals_dot_ranking_for_equal_norms(self, rng):
         items = em.normalize_rows(rng.normal(size=(10, 5))) * 2.0
-        model = em.EmbeddingTable(
-            1, 10, 5,
-            rng.normal(size=(1, 5)).astype(np.float32),
-            items.astype(np.float32),
-        )
-        dot_rank = np.argsort(-em.score_all_items(model, 0, "dot"))
-        cos_rank = np.argsort(-em.score_all_items(model, 0, "cosine"))
-        assert np.array_equal(dot_rank, cos_rank)
+        model = table(rng.normal(size=(1, 5)), items)
+        assert np.array_equal(ranks(model, 0, "dot"), ranks(model, 0, "cosine"))
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ import pytest
 from debias_cf import evaluation as ev
 from debias_cf.data import InteractionSet
 from debias_cf.embedding import EmbeddingTable, normalize_rows
-from debias_cf.errors import ConfigError, DataError
+from debias_cf.errors import DataError
 from conftest import brute_force_topk, random_interaction_set
 
 
@@ -215,22 +215,3 @@ class TestGroupAlignment:
             )
         assert math.isnan(report.pop_user_align)
         assert math.isfinite(report.unpop_user_align)
-
-
-class TestCompareRuns:
-    def rep(self, recall, ndcg):
-        return ev.MetricsReport(20, recall, ndcg, 10)
-
-    def test_identical_reports_zero_std(self):
-        out = ev.compare_runs([self.rep(0.5, 0.4)] * 3)
-        assert out["recall_at_k"]["std"] == 0.0
-        assert out["recall_at_k"]["mean"] == 0.5
-
-    def test_hand_arithmetic(self):
-        out = ev.compare_runs([self.rep(r, r) for r in (0.1, 0.2, 0.3)])
-        assert out["recall_at_k"]["mean"] == pytest.approx(0.2)
-        assert out["recall_at_k"]["std"] == pytest.approx(0.1)
-
-    def test_requires_two(self):
-        with pytest.raises(ConfigError):
-            ev.compare_runs([self.rep(0.1, 0.1)])

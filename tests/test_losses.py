@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from debias_cf import losses
-from debias_cf.data import InteractionSet, SyntheticWorld
+from debias_cf.data import (
+    InteractionSet,
+    SyntheticWorld,
+    generate_synthetic_world,
+    sample_clicks,
+    split_unbiased_protocol,
+)
 from debias_cf.embedding import EmbeddingTable, normalize_rows
 from debias_cf.errors import ConfigError
+from debias_cf.trainer import TrainConfig, init_state, train_step
 from conftest import brute_force_uniformity, central_difference, max_relative_error
 
 
@@ -17,41 +24,48 @@ def unit(v):
 
 
 def make_batch(rng, b=6, d=4, weights=None, n_users=None, n_items=None):
+    """Unique raw rows per side plus the pair -> row maps, as train_step
+    builds them; every row is used by at least one pair."""
     n_users = n_users or max(2, b - 2)
     n_items = n_items or max(2, b - 1)
-    pairs = np.stack(
-        [rng.integers(0, n_users, b), rng.integers(0, n_items, b)], axis=1
-    )
-    user_rows = normalize_rows(rng.normal(size=(n_users, d)))
-    item_rows = normalize_rows(rng.normal(size=(n_items, d)))
+    _, u_inv = np.unique(rng.integers(0, n_users, b), return_inverse=True)
+    _, i_inv = np.unique(rng.integers(0, n_items, b), return_inverse=True)
+    user_rows = rng.normal(size=(u_inv.max() + 1, d))
+    item_rows = rng.normal(size=(i_inv.max() + 1, d))
     if weights is None:
         weights = np.ones(b)
-    return losses.Batch(pairs, user_rows[pairs[:, 0]], item_rows[pairs[:, 1]], weights)
+    return user_rows, item_rows, u_inv, i_inv, weights
+
+
+def pair_vecs(batch):
+    """Per-pair normalized vectors and weights of a make_batch batch."""
+    user_rows, item_rows, u_inv, i_inv, weights = batch
+    return normalize_rows(user_rows)[u_inv], normalize_rows(item_rows)[i_inv], weights
+
+
+def alignment(u_norm, i_norm, weights):
+    return losses.alignment_value_grad(u_norm, i_norm, weights)[0]
+
+
+def uniformity(vecs):
+    return losses.uniformity_value_grad(vecs)[0]
 
 
 class TestAlignment:
     def test_identical_vectors_zero(self, rng):
         vecs = normalize_rows(rng.normal(size=(4, 3)))
-        batch = losses.Batch(
-            np.stack([np.arange(4), np.arange(4)], axis=1),
-            vecs, vecs.copy(), np.array([1.0, 2.0, 0.5, 3.0]),
-        )
-        assert losses.alignment_loss(batch) == 0.0
+        assert alignment(vecs, vecs.copy(), np.array([1.0, 2.0, 0.5, 3.0])) == 0.0
 
     def test_orthogonal_pair_unit_weight(self):
-        batch = losses.Batch(
-            np.array([[0, 0]]), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
-            np.array([1.0]),
-        )
-        assert losses.alignment_loss(batch) == pytest.approx(2.0, abs=1e-12)
+        value = alignment(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([1.0]))
+        assert value == pytest.approx(2.0, abs=1e-12)
 
     def test_orthogonal_pair_ipw_weight(self):
         # weight 1/0.5 doubles the orthogonal-pair distance of 2
-        batch = losses.Batch(
-            np.array([[0, 0]]), np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]),
-            np.array([1.0 / 0.5]),
+        value = alignment(
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([1.0 / 0.5])
         )
-        assert losses.alignment_loss(batch) == pytest.approx(4.0, abs=1e-12)
+        assert value == pytest.approx(4.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         u = normalize_rows(rng.normal(size=(5, 3)))
@@ -68,54 +82,37 @@ class TestAlignment:
         assert max_relative_error(gi, fd_i) < 1e-6
 
     def test_empty_batch_rejected(self):
-        batch = losses.Batch(
-            np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)
-        )
         with pytest.raises(ConfigError):
-            losses.alignment_loss(batch)
+            alignment(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_nonnegative(self, seed):
         batch = make_batch(np.random.default_rng(seed))
-        assert losses.alignment_loss(batch) >= 0.0
+        assert alignment(*pair_vecs(batch)) >= 0.0
 
     def test_batch_consistency_with_per_pair_mean(self, rng):
-        batch = make_batch(rng, b=7, weights=rng.uniform(1.0, 2.0, 7))
-        singles = [
-            losses.alignment_loss(
-                losses.Batch(
-                    batch.pairs[k : k + 1],
-                    batch.user_vecs_norm[k : k + 1],
-                    batch.item_vecs_norm[k : k + 1],
-                    batch.weights[k : k + 1],
-                )
-            )
-            for k in range(len(batch))
-        ]
-        assert losses.alignment_loss(batch) == pytest.approx(
-            np.mean(singles), rel=1e-13
-        )
+        u, i, w = pair_vecs(make_batch(rng, b=7, weights=rng.uniform(1.0, 2.0, 7)))
+        singles = [alignment(u[k : k + 1], i[k : k + 1], w[k : k + 1]) for k in range(7)]
+        assert alignment(u, i, w) == pytest.approx(np.mean(singles), rel=1e-13)
 
 
 class TestUniformity:
     def test_identical_rows_zero(self):
         vecs = np.tile(unit([1.0, 2.0, 2.0]), (5, 1))
-        assert losses.uniformity_loss(vecs) == pytest.approx(0.0, abs=1e-12)
+        assert uniformity(vecs) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_orthogonal_vectors(self):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert losses.uniformity_loss(vecs) == pytest.approx(-4.0, abs=1e-12)
+        assert uniformity(vecs) == pytest.approx(-4.0, abs=1e-12)
 
     def test_matches_brute_force(self, rng):
         vecs = normalize_rows(rng.normal(size=(8, 5)))
-        assert losses.uniformity_loss(vecs) == pytest.approx(
-            brute_force_uniformity(vecs), abs=1e-10
-        )
+        assert uniformity(vecs) == pytest.approx(brute_force_uniformity(vecs), abs=1e-10)
 
     def test_single_vector_rejected(self):
         with pytest.raises(ConfigError):
-            losses.uniformity_loss(np.array([[1.0, 0.0]]))
+            uniformity(np.array([[1.0, 0.0]]))
 
     def test_gradient_matches_finite_differences(self, rng):
         vecs = normalize_rows(rng.normal(size=(6, 4)))
@@ -130,22 +127,22 @@ class TestUniformity:
     def test_nonpositive(self, seed):
         rng = np.random.default_rng(seed)
         vecs = normalize_rows(rng.normal(size=(rng.integers(2, 9), 4)))
-        assert losses.uniformity_loss(vecs) <= 1e-12
+        assert uniformity(vecs) <= 1e-12
 
 
 class TestDirectau:
     def test_gamma_zero_equals_alignment(self, rng):
         batch = make_batch(rng)
-        terms = losses.directau_loss(batch, gamma=0.0)
-        assert terms.total == losses.alignment_loss(batch)
+        terms, _, _ = losses.dau_param_grads(*batch, gamma=0.0)
+        assert terms.total == alignment(*pair_vecs(batch))
 
     def test_collapsed_model_all_zero(self):
         vec = unit([1.0, 1.0])
-        pairs = np.array([[0, 0], [1, 1], [2, 0]])
-        batch = losses.Batch(
-            pairs, np.tile(vec, (3, 1)), np.tile(vec, (3, 1)), np.ones(3)
+        # pairs (0, 0), (1, 1), (2, 0): three users, two items
+        terms, _, _ = losses.dau_param_grads(
+            np.tile(vec, (3, 1)), np.tile(vec, (2, 1)),
+            np.array([0, 1, 2]), np.array([0, 1, 0]), np.ones(3), gamma=1.0,
         )
-        terms = losses.directau_loss(batch, gamma=1.0)
         assert terms.align == pytest.approx(0.0, abs=1e-12)
         assert terms.uniform_user == pytest.approx(0.0, abs=1e-12)
         assert terms.uniform_item == pytest.approx(0.0, abs=1e-12)
@@ -154,19 +151,14 @@ class TestDirectau:
     def test_assembled_from_component_oracles(self, rng):
         batch = make_batch(rng, b=9)
         gamma = 1.0
-        terms = losses.directau_loss(batch, gamma)
-        diff = batch.user_vecs_norm - batch.item_vecs_norm
+        terms, _, _ = losses.dau_param_grads(*batch, gamma)
+        user_rows, item_rows, _, _, _ = batch
+        u, i, _ = pair_vecs(batch)
+        diff = u - i
         align = float(np.mean(np.sum(diff * diff, axis=1)))
-        _, first_u = np.unique(batch.pairs[:, 0], return_index=True)
-        _, first_i = np.unique(batch.pairs[:, 1], return_index=True)
-        uu = brute_force_uniformity(batch.user_vecs_norm[first_u])
-        ui = brute_force_uniformity(batch.item_vecs_norm[first_i])
+        uu = brute_force_uniformity(normalize_rows(user_rows))
+        ui = brute_force_uniformity(normalize_rows(item_rows))
         assert terms.total == pytest.approx(align + gamma * (uu + ui) / 2, abs=1e-10)
-
-    def test_requires_unit_weights(self, rng):
-        batch = make_batch(rng, weights=np.full(6, 2.0))
-        with pytest.raises(ConfigError):
-            losses.directau_loss(batch, 1.0)
 
 
 class TestIdealAlignment:
@@ -193,9 +185,8 @@ class TestIdealAlignment:
         model, world, pairs = self.setup_case(rng, 1.0)
         u = normalize_rows(model.user_vecs[pairs.pairs[:, 0]].astype(np.float64))
         i = normalize_rows(model.item_vecs[pairs.pairs[:, 1]].astype(np.float64))
-        batch = losses.Batch(pairs.pairs, u, i, np.ones(len(pairs)))
         assert losses.ideal_alignment_loss(model, world, pairs) == pytest.approx(
-            losses.alignment_loss(batch), rel=1e-6
+            alignment(u, i, np.ones(len(pairs))), rel=1e-6
         )
 
     def test_linear_in_relevance(self, rng):
@@ -211,20 +202,12 @@ class TestIdealAlignment:
 
 
 class TestUnbiasedDirectau:
-    def test_unit_propensity_identical_to_biased(self, rng):
-        batch = make_batch(rng)
-        a = losses.directau_loss(batch, 0.7)
-        b = losses.unbiased_directau_loss(batch, 0.7)
-        assert a == b
-
     def test_halved_propensity_doubles_alignment_only(self, rng):
-        base = make_batch(rng)
-        doubled = losses.Batch(
-            base.pairs, base.user_vecs_norm, base.item_vecs_norm,
-            base.weights * 2.0,
+        user_rows, item_rows, u_inv, i_inv, weights = make_batch(rng)
+        t1, _, _ = losses.dau_param_grads(user_rows, item_rows, u_inv, i_inv, weights, 0.9)
+        t2, _, _ = losses.dau_param_grads(
+            user_rows, item_rows, u_inv, i_inv, weights * 2.0, 0.9
         )
-        t1 = losses.unbiased_directau_loss(base, 0.9)
-        t2 = losses.unbiased_directau_loss(doubled, 0.9)
         assert t2.align == pytest.approx(2 * t1.align, rel=1e-12)
         assert t2.uniform_user == t1.uniform_user
         assert t2.uniform_item == t1.uniform_item
@@ -253,17 +236,36 @@ class TestUnbiasedDirectau:
         assert abs(estimates.mean() - ideal) / ideal < 0.02
 
 
+def relation_terms(batch, lambda_rel, m_user=None, m_item=None):
+    """Relation-space terms of a make_batch batch; identity projections by
+    default."""
+    user_rows, item_rows, u_inv, i_inv, _ = batch
+    d = user_rows.shape[1]
+    terms, _, _, _ = losses.relation_param_grads(
+        normalize_rows(user_rows), normalize_rows(item_rows), u_inv, i_inv,
+        np.eye(d) if m_user is None else m_user,
+        np.eye(d) if m_item is None else m_item,
+        lambda_rel,
+    )
+    return terms
+
+
 class TestRelationSpace:
     def test_identity_projection_matches_directau(self, rng):
         batch = make_batch(rng, b=8, d=4)
-        terms_rel = losses.relation_directau_loss(batch, lambda_rel=0.8)
-        terms_dau = losses.directau_loss(batch, gamma=0.8)
+        terms_rel = relation_terms(batch, lambda_rel=0.8)
+        # the relation term normalizes the projected (already normalized)
+        # rows, so the biased objective gets the normalized rows too
+        user_rows, item_rows, u_inv, i_inv, weights = batch
+        terms_dau, _, _ = losses.dau_param_grads(
+            normalize_rows(user_rows), normalize_rows(item_rows), u_inv, i_inv,
+            weights, gamma=0.8,
+        )
         assert terms_rel.align == terms_dau.align
         assert terms_rel.total == terms_dau.total
 
     def test_lambda_zero_is_alignment_only(self, rng):
-        batch = make_batch(rng)
-        terms = losses.relation_directau_loss(batch, lambda_rel=0.0)
+        terms = relation_terms(make_batch(rng), lambda_rel=0.0)
         assert terms.total == terms.align
 
     def test_projection_gradients_match_finite_differences(self, rng):
@@ -294,23 +296,25 @@ class TestRelationSpace:
 class TestJointObjective:
     def test_collapsed_zero(self):
         vec = unit([1.0, 0.0])
-        pairs = np.array([[0, 0], [1, 1]])
-        batch = losses.Batch(
-            pairs, np.tile(vec, (2, 1)), np.tile(vec, (2, 1)), np.ones(2)
+        # pairs (0, 0), (1, 1)
+        batch = (
+            np.tile(vec, (2, 1)), np.tile(vec, (2, 1)),
+            np.array([0, 1]), np.array([0, 1]), np.ones(2),
         )
-        unbiased = losses.unbiased_directau_loss(batch, 1.0)
-        relation = losses.relation_directau_loss(batch, 1.0)
-        assert losses.uctrl_total_loss(unbiased, relation) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        unbiased, _, _ = losses.dau_param_grads(*batch, 1.0)
+        relation = relation_terms(batch, 1.0)
+        assert unbiased.total + relation.total == pytest.approx(0.0, abs=1e-12)
 
-    def test_additivity(self, rng):
-        batch_u = make_batch(rng, weights=rng.uniform(1.2, 3.0, 6))
-        batch_r = make_batch(rng)
-        unbiased = losses.unbiased_directau_loss(batch_u, 0.5)
-        relation = losses.relation_directau_loss(batch_r, 1.5)
-        total = losses.uctrl_total_loss(unbiased, relation)
-        assert total == pytest.approx(unbiased.total + relation.total, abs=1e-12)
+    def test_additivity(self):
+        # a joint step reports the sum of the debiased and relation totals
+        world = generate_synthetic_world(12, 15, 1.0, seed=4)
+        bundle = split_unbiased_protocol(sample_clicks(world, 4), 0.2, 0.2, seed=4)
+        config = TrainConfig(objective="uctrl", d=4, gamma=0.5, lambda_rel=1.5, seed=2)
+        state = init_state(bundle.train.m, bundle.train.n, config)
+        terms = train_step(state, bundle.train.pairs[:6], config)
+        assert terms.total == pytest.approx(
+            terms.main.total + terms.relation.total, abs=1e-12
+        )
 
     def test_param_grads_match_finite_differences(self, rng):
         # Raw-row gradients through normalization for the weighted form.

@@ -6,6 +6,7 @@ from debias_cf import propensity as pp
 from debias_cf.data import InteractionSet, SyntheticWorld
 from debias_cf.embedding import EmbeddingTable, ProjectionPair, normalize_rows
 from debias_cf.errors import ConfigError, DataError
+from debias_cf.trainer import learned_propensities
 from debias_cf.util import sigmoid
 
 SIG_LO, SIG_HI = sigmoid(-1.0), sigmoid(1.0)
@@ -27,21 +28,17 @@ def make_model(rng, m=5, n=6, d=3):
 class TestProject:
     def test_identity_projection_returns_normalized_base(self, rng):
         model, _ = make_model(rng)
-        proj = ProjectionPair(np.eye(3, dtype=np.float32), np.eye(3, dtype=np.float32))
         pairs = np.array([[0, 1], [2, 3]])
-        proj_u, _ = pp.project(model, proj, pairs)
         expect = normalize_rows(model.user_vecs[pairs[:, 0]].astype(np.float64))
+        proj_u = pp.project_rows(expect, np.eye(3, dtype=np.float32))
         assert np.allclose(proj_u, expect, atol=1e-12)
 
     def test_scale_absorbed_by_normalization(self, rng):
         model, _ = make_model(rng)
-        eye = ProjectionPair(np.eye(3, dtype=np.float32), np.eye(3, dtype=np.float32))
-        two = ProjectionPair(
-            2 * np.eye(3, dtype=np.float32), np.eye(3, dtype=np.float32)
-        )
         pairs = np.array([[0, 0], [4, 5]])
-        u1, _ = pp.project(model, eye, pairs)
-        u2, _ = pp.project(model, two, pairs)
+        base = normalize_rows(model.user_vecs[pairs[:, 0]].astype(np.float64))
+        u1 = pp.project_rows(base, np.eye(3, dtype=np.float32))
+        u2 = pp.project_rows(base, 2 * np.eye(3, dtype=np.float32))
         assert np.allclose(u2, 2 * u1, atol=1e-12)
         assert np.array_equal(normalize_rows(u2), normalize_rows(u1))
 
@@ -57,9 +54,8 @@ class TestProject:
 
     def test_dimension_mismatch_rejected(self, rng):
         model, _ = make_model(rng, d=3)
-        bad = ProjectionPair(np.eye(4, dtype=np.float32), np.eye(4, dtype=np.float32))
         with pytest.raises(ConfigError):
-            pp.project(model, bad, np.array([[0, 0]]))
+            pp.project_rows(model.user_vecs[:1], np.eye(4, dtype=np.float32))
 
     def test_rescaling_projection_invariant_after_normalization(self, rng):
         base = normalize_rows(rng.normal(size=(4, 3)))
@@ -124,6 +120,11 @@ class TestClip:
         assert pp.clip(lo, mu) <= pp.clip(hi, mu)
 
 
+def clipped(omega_raw, mu=0.1):
+    omega, _ = pp.inverse_weights(omega_raw, mu)
+    return omega
+
+
 class TestOracle:
     def world(self, values):
         values = np.asarray(values, dtype=np.float32)
@@ -134,25 +135,30 @@ class TestOracle:
 
     def test_lookup(self):
         world = self.world(np.full((3, 3), 0.3))
-        est = pp.estimate_oracle(world, np.array([[0, 0], [2, 1]]))
-        assert np.allclose(est.values, 0.3)
-        assert est.source == "oracle"
+        omega = pp.estimate_oracle(world, np.array([[0, 0], [2, 1]]))
+        assert np.allclose(omega, 0.3)
 
     def test_clip_applies(self):
         world = self.world(np.full((2, 2), 0.02))
-        est = pp.estimate_oracle(world, np.array([[0, 0]]), mu=0.1)
-        assert est.values[0] == 0.1
+        omega = clipped(pp.estimate_oracle(world, np.array([[0, 0]])), mu=0.1)
+        assert omega[0] == 0.1
 
     def test_capped_below_one(self):
         world = self.world(np.ones((2, 2)))
-        est = pp.estimate_oracle(world, np.array([[0, 0]]))
-        assert est.values[0] == pytest.approx(1.0 - 1e-6)
-        assert est.values[0] < 1.0
+        omega = clipped(pp.estimate_oracle(world, np.array([[0, 0]])))
+        assert omega[0] == pytest.approx(1.0 - 1e-6)
+        assert omega[0] < 1.0
 
     def test_out_of_bounds_rejected(self):
         world = self.world(np.full((2, 2), 0.5))
         with pytest.raises(DataError):
             pp.estimate_oracle(world, np.array([[0, 5]]))
+
+
+def popularity(train, pairs, exponent=0.5, mu=0.1):
+    """Clipped popularity propensity of each pair."""
+    table = pp.item_popularity_table(train, exponent)
+    return clipped(table[np.asarray(pairs)[:, 1]], mu)
 
 
 class TestItemPopularity:
@@ -162,48 +168,45 @@ class TestItemPopularity:
         return InteractionSet(3, 3, pairs)
 
     def test_most_popular_is_capped_anchor(self):
-        est = pp.estimate_item_popularity(self.train_set(), np.array([[0, 0]]))
-        assert est.values[0] == pytest.approx(1.0 - 1e-6)
+        omega = popularity(self.train_set(), np.array([[0, 0]]))
+        assert omega[0] == pytest.approx(1.0 - 1e-6)
 
     def test_zero_count_item_floored(self):
-        est = pp.estimate_item_popularity(self.train_set(), np.array([[0, 2]]), exponent=0.5)
-        assert est.values[0] == 0.1
+        omega = popularity(self.train_set(), np.array([[0, 2]]), exponent=0.5)
+        assert omega[0] == 0.1
 
     def test_exponent_zero_constant(self):
         pairs = np.array([[0, 0], [0, 1], [0, 2]])
-        est = pp.estimate_item_popularity(self.train_set(), pairs, exponent=0.0)
-        assert np.all(est.values == est.values[0])
-        assert est.values[0] == pytest.approx(1.0 - 1e-6)
+        omega = popularity(self.train_set(), pairs, exponent=0.0)
+        assert np.all(omega == omega[0])
+        assert omega[0] == pytest.approx(1.0 - 1e-6)
 
     def test_depends_only_on_item(self):
-        est = pp.estimate_item_popularity(
-            self.train_set(), np.array([[0, 1], [1, 1], [2, 1]])
-        )
-        assert est.values[0] == est.values[1] == est.values[2]
+        omega = popularity(self.train_set(), np.array([[0, 1], [1, 1], [2, 1]]))
+        assert omega[0] == omega[1] == omega[2]
 
 
 class TestPropensityEstimate:
     def test_values_must_be_inside_unit_interval(self):
-        with pytest.raises(DataError):
-            pp.PropensityEstimate(np.array([1.0]), "oracle")
-        with pytest.raises(DataError):
-            pp.PropensityEstimate(np.array([0.0]), "oracle")
+        omega, weights = pp.inverse_weights(np.array([0.0, 1.0, 2.0]), mu=0.1)
+        assert np.all((omega > 0) & (omega < 1))
+        assert np.all(weights > 1)
 
     def test_weights_are_inverse(self):
-        est = pp.PropensityEstimate(np.array([0.25, 0.5]), "oracle")
-        assert np.allclose(est.weights(), [4.0, 2.0])
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ConfigError):
-            pp.PropensityEstimate(np.array([0.5]), "guesswork")
+        _, weights = pp.inverse_weights(np.array([0.25, 0.5]))
+        assert np.allclose(weights, [4.0, 2.0])
 
 
 class TestLearnedPipeline:
     def test_full_chain_matches_manual_composition(self, rng):
         model, proj = make_model(rng)
         pairs = np.array([[0, 1], [3, 2], [4, 4]])
-        est = pp.learned_propensities(model, proj, pairs)
-        proj_u, proj_i = pp.project(model, proj, pairs)
+        omega = learned_propensities(model, proj, pairs, mu=0.1)
+        proj_u = pp.project_rows(
+            normalize_rows(model.user_vecs[pairs[:, 0]].astype(np.float64)), proj.m_user
+        )
+        proj_i = pp.project_rows(
+            normalize_rows(model.item_vecs[pairs[:, 1]].astype(np.float64)), proj.m_item
+        )
         manual = pp.estimate_learned(normalize_rows(proj_u), normalize_rows(proj_i))
-        assert np.allclose(est.values, manual, atol=1e-12)
-        assert est.source == "learned"
+        assert np.allclose(omega, manual, atol=1e-12)

@@ -1,0 +1,71 @@
+"""The package's public surface, and the functions the benchmark's traced
+run wraps, stay where their users look for them."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import debias_cf
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+PUBLIC = {
+    "ConfigError",
+    "DataError",
+    "DebiasCfError",
+    "EmbeddingTable",
+    "InteractionSet",
+    "NumericalError",
+    "SplitBundle",
+    "TrainConfig",
+    "evaluate_topk",
+    "generate_synthetic_world",
+    "ideal_alignment_loss",
+    "init_model",
+    "sample_clicks",
+    "save_checkpoint",
+    "split_unbiased_protocol",
+    "train",
+}
+
+
+def test_all_is_the_public_set_and_resolves():
+    assert set(debias_cf.__all__) == PUBLIC
+    assert len(debias_cf.__all__) == len(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(debias_cf, name) is not None
+
+
+#: Arguments the tracer's counters read, by traced attribute.
+COUNTED_ARGS = {
+    "InteractionSet.__post_init__": {"self"},
+    "uniformity_value_grad": {"vecs"},
+    "train_step": {"state", "pairs"},
+    "evaluate_topk": {"model", "k"},
+}
+
+
+def load_tracer(monkeypatch):
+    # Loaded by file path: perfbench/tests has its own conftest module, so
+    # the tracer is never imported through a package or conftest name.
+    name = "perfbench_tracer"
+    spec = importlib.util.spec_from_file_location(name, TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    targets = load_tracer(monkeypatch).TARGETS
+    assert targets
+    for module_name, attr, _, counter in targets:
+        owner = importlib.import_module(f"debias_cf.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+        if counter is not None:
+            params = set(inspect.signature(owner).parameters)
+            assert COUNTED_ARGS[attr] <= params, (module_name, attr)

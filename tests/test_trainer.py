@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import debias_cf as dc
-from debias_cf import losses, trainer
+from debias_cf import losses, propensity, trainer
 from debias_cf.data import InteractionSet, SplitBundle, generate_synthetic_world, sample_clicks, split_unbiased_protocol
 from debias_cf.embedding import normalize_rows
 from debias_cf.errors import ConfigError, NumericalError
 from debias_cf.trainer import Adam, TrainConfig, init_state, make_batches, train, train_step
+from conftest import unit_inverse_weights
 
 
 def toy_bundle(seed=0, m=20, n=20, skew=1.0):
@@ -273,16 +274,15 @@ class TestTrainStep:
 
 
 class TestTrajectoryEquality:
-    def test_unit_weight_joint_matches_biased_embeddings(self):
+    def test_unit_weight_joint_matches_biased_embeddings(self, monkeypatch):
         # With alignment weights forced to 1, the joint objective must move
         # the embeddings exactly as the biased objective does, even though
         # the projections keep training alongside.
         _, bundle = toy_bundle(seed=9)
         cfg_dau = small_config(objective="directau", epochs=4, seed=11)
-        cfg_uctrl = small_config(
-            objective="uctrl", epochs=4, seed=11, force_unit_weights=True
-        )
+        cfg_uctrl = small_config(objective="uctrl", epochs=4, seed=11)
         res_dau = train(bundle, cfg_dau)
+        monkeypatch.setattr(propensity, "inverse_weights", unit_inverse_weights)
         res_uctrl = train(bundle, cfg_uctrl)
         assert np.array_equal(
             res_dau.state.model.user_vecs, res_uctrl.state.model.user_vecs
