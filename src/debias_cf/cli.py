@@ -231,6 +231,9 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
 
 def _cmd_train(cfg: dict) -> int:
     tcfg = _train_config(cfg)
+    if cfg["dump_propensities"] and tcfg.objective != "uctrl":
+        # Only uctrl trains the projections the learned propensities use.
+        raise ConfigError("--dump-propensities needs --objective uctrl")
     bundle = data_mod.load_split(cfg["data_dir"])
     world = None
     if tcfg.objective == "ipw_align_oracle":

@@ -42,7 +42,9 @@ class Interaction(NamedTuple):
 class InteractionSet:
     """A duplicate-free set of clicked (user, item) pairs with indexes by
     user and by item. Pairs are kept in lexicographic order, so equal sets
-    compare equal structurally."""
+    compare equal structurally. User u owns pairs[user_ptr[u]:user_ptr[u + 1]];
+    item i owns the ascending positions item_order[item_ptr[i]:item_ptr[i + 1]].
+    by_user and by_item are read-only views into these ranges."""
 
     m: int
     n: int
@@ -51,6 +53,9 @@ class InteractionSet:
     item_labels: list[str] | None = None
     by_user: list[np.ndarray] = field(init=False, repr=False)
     by_item: list[np.ndarray] = field(init=False, repr=False)
+    user_ptr: np.ndarray = field(init=False, repr=False)  # (m + 1,) offsets
+    item_ptr: np.ndarray = field(init=False, repr=False)  # (n + 1,) offsets
+    item_order: np.ndarray = field(init=False, repr=False)  # (P,) positions
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
@@ -64,12 +69,12 @@ class InteractionSet:
         if len(pairs) > 1 and (np.diff(pairs, axis=0) == 0).all(axis=1).any():
             raise DataError("duplicate (user, item) pairs")
         self.pairs = pairs
-        self.by_user = [
-            np.sort(pairs[pairs[:, 0] == u, 1]) for u in range(self.m)
-        ]
-        self.by_item = [
-            np.sort(pairs[pairs[:, 1] == i, 0]) for i in range(self.n)
-        ]
+        # Stable, so each item's positions (and hence its users) ascend.
+        self.item_order = np.argsort(pairs[:, 1], kind="stable")
+        self.user_ptr = np.searchsorted(pairs[:, 0], np.arange(self.m + 1))
+        self.item_ptr = np.searchsorted(pairs[self.item_order, 1], np.arange(self.n + 1))
+        self.by_user = _read_only_split(pairs[:, 1], self.user_ptr)
+        self.by_item = _read_only_split(pairs[self.item_order, 0], self.item_ptr)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -78,10 +83,10 @@ class InteractionSet:
         return {(int(u), int(i)) for u, i in self.pairs}
 
     def user_counts(self) -> np.ndarray:
-        return np.array([len(b) for b in self.by_user], dtype=np.int64)
+        return np.diff(self.user_ptr)
 
     def item_counts(self) -> np.ndarray:
-        return np.array([len(b) for b in self.by_item], dtype=np.int64)
+        return np.diff(self.item_ptr)
 
     def labels(self) -> tuple[list[str], list[str]]:
         """User and item labels; an unlabeled side uses its dense indices."""
@@ -92,6 +97,14 @@ class InteractionSet:
     def replaced(self, pairs: np.ndarray) -> "InteractionSet":
         """Same dimensions and labels, different pair list."""
         return InteractionSet(self.m, self.n, pairs, self.user_labels, self.item_labels)
+
+
+def _read_only_split(values: np.ndarray, ptr: np.ndarray) -> list[np.ndarray]:
+    """Views values[ptr[k]:ptr[k + 1]] that cannot write through to values."""
+    values = values.view()
+    values.setflags(write=False)
+    bounds = ptr.tolist()
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -213,10 +226,8 @@ def split_unbiased_protocol(
     in_test = np.zeros(p_total, dtype=bool)
 
     if sampling == "per_item":
-        for item in range(data.n):
-            idx = np.flatnonzero(pairs[:, 1] == item)
-            if len(idx) == 0:
-                continue
+        for item in np.flatnonzero(data.item_counts()).tolist():
+            idx = data.item_order[data.item_ptr[item] : data.item_ptr[item + 1]]
             quota = _stochastic_round(test_frac * len(idx), rng)
             if quota > 0:
                 chosen = rng.choice(len(idx), size=min(quota, len(idx)), replace=False)
@@ -238,13 +249,11 @@ def split_unbiased_protocol(
     in_train = ~(in_test | in_valid)
 
     # Repair pass: every user must keep at least one training interaction.
-    train_users = set(pairs[in_train, 0].tolist())
-    for user in range(data.m):
-        if user in train_users:
-            continue
-        owned = np.flatnonzero(pairs[:, 0] == user)
-        if len(owned) == 0:
-            continue
+    untrained = (np.bincount(pairs[in_train, 0], minlength=data.m) == 0) & (
+        data.user_counts() > 0
+    )
+    for user in np.flatnonzero(untrained).tolist():
+        owned = np.arange(data.user_ptr[user], data.user_ptr[user + 1])
         from_valid = owned[in_valid[owned]]
         source = from_valid if len(from_valid) else owned[in_test[owned]]
         take = int(source[0])  # lowest item index, deterministic
@@ -303,9 +312,7 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     rng = rng_from(seed, 41)
     prob = world.exposure.astype(np.float64) * world.relevance.astype(np.float64)
     clicks = rng.random(prob.shape) < prob
-    for user in range(world.m):
-        if clicks[user].any():
-            continue
+    for user in np.flatnonzero(~clicks.any(axis=1)).tolist():
         for _ in range(10):
             clicks[user] = rng.random(world.n) < prob[user]
             if clicks[user].any():

@@ -40,7 +40,7 @@ from .embedding import (
     normalize_rows_backward,
     normalize_rows_full,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .propensity import project_rows
 
 
@@ -113,7 +113,7 @@ def ideal_alignment_loss(
     expectation; it exists only for synthetic worlds and tests.
     """
     if (world.m, world.n) != (model.m, model.n):
-        raise ConfigError("world dimensions do not match the model")
+        raise DataError("world dimensions do not match the model")
     if (pair_set.m, pair_set.n) != (model.m, model.n):
         raise ConfigError("pair set dimensions do not match the model")
     if len(pair_set) == 0:

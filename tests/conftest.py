@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from debias_cf.data import InteractionSet
+from debias_cf.util import rng_from
 
 
 def central_difference(f, arr, h=1e-5):
@@ -95,6 +96,93 @@ def random_interaction_set(rng, m=None, n=None, density=0.3, ensure_users=True):
     users, items = np.nonzero(grid)
     pairs = np.stack([users, items], axis=1)
     return InteractionSet(m, n, pairs)
+
+
+def oracle_index(iset):
+    """by_user, by_item, user counts and item counts from one boolean scan
+    of all pairs per user and per item."""
+    pairs = iset.pairs
+    by_user = [np.sort(pairs[pairs[:, 0] == u, 1]) for u in range(iset.m)]
+    by_item = [np.sort(pairs[pairs[:, 1] == i, 0]) for i in range(iset.n)]
+    user_counts = np.array([len(b) for b in by_user], dtype=np.int64)
+    item_counts = np.array([len(b) for b in by_item], dtype=np.int64)
+    return by_user, by_item, user_counts, item_counts
+
+
+def _stochastic_round(x, rng):
+    base = math.floor(x)
+    return base + (1 if rng.random() < x - base else 0)
+
+
+def reference_split(data, test_frac, valid_frac, seed, sampling="per_item"):
+    """split_unbiased_protocol's draws, in the same order, found by a
+    full-column scan per item and per user. Returns the train, validation
+    and test pair arrays and the number of users the repair pass rescued."""
+    rng = rng_from(seed, 21)
+    pairs = data.pairs
+    p_total = len(pairs)
+    in_test = np.zeros(p_total, dtype=bool)
+
+    if sampling == "per_item":
+        for item in range(data.n):
+            idx = np.flatnonzero(pairs[:, 1] == item)
+            if len(idx) == 0:
+                continue
+            quota = _stochastic_round(test_frac * len(idx), rng)
+            if quota > 0:
+                chosen = rng.choice(len(idx), size=min(quota, len(idx)), replace=False)
+                in_test[idx[chosen]] = True
+    else:
+        quota = _stochastic_round(test_frac * p_total, rng)
+        if quota > 0:
+            chosen = rng.choice(p_total, size=min(quota, p_total), replace=False)
+            in_test[chosen] = True
+
+    remainder = np.flatnonzero(~in_test)
+    valid_rate = valid_frac / (1.0 - test_frac)
+    in_valid = np.zeros(p_total, dtype=bool)
+    quota = _stochastic_round(valid_rate * len(remainder), rng)
+    if quota > 0:
+        chosen = rng.choice(len(remainder), size=min(quota, len(remainder)), replace=False)
+        in_valid[remainder[chosen]] = True
+
+    in_train = ~(in_test | in_valid)
+
+    repaired = 0
+    train_users = set(pairs[in_train, 0].tolist())
+    for user in range(data.m):
+        if user in train_users:
+            continue
+        owned = np.flatnonzero(pairs[:, 0] == user)
+        if len(owned) == 0:
+            continue
+        from_valid = owned[in_valid[owned]]
+        source = from_valid if len(from_valid) else owned[in_test[owned]]
+        take = int(source[0])
+        in_valid[take] = False
+        in_test[take] = False
+        in_train[take] = True
+        repaired += 1
+
+    return pairs[in_train], pairs[in_valid], pairs[in_test], repaired
+
+
+def reference_sample_clicks(world, seed):
+    """sample_clicks with its retry loop visiting every user in turn;
+    returns the boolean click matrix."""
+    rng = rng_from(seed, 41)
+    prob = world.exposure.astype(np.float64) * world.relevance.astype(np.float64)
+    clicks = rng.random(prob.shape) < prob
+    for user in range(world.m):
+        if clicks[user].any():
+            continue
+        for _ in range(10):
+            clicks[user] = rng.random(world.n) < prob[user]
+            if clicks[user].any():
+                break
+        else:
+            clicks[user, int(np.argmax(prob[user]))] = True
+    return clicks
 
 
 @pytest.fixture

@@ -133,6 +133,30 @@ class TestErrors:
             "--out-dir", str(tmp_path), "--quiet",
         ]) == 2
 
+    def test_world_of_another_run_is_data_error(self, tmp_path):
+        out = run_pipeline(tmp_path)  # 40 x 60
+        other = tmp_path / "other"
+        assert main([
+            "synth", "--m", "30", "--n", "50", "--seed", "1",
+            "--out-dir", str(other), "--quiet",
+        ]) == 0
+        assert main([
+            "analyze", "--run-dir", str(out), "--data-dir", str(out),
+            "--world", str(other / "world.bin"), "--quiet",
+        ]) == 2
+
+    @pytest.mark.parametrize("objective", ["directau", "ipw_align_oracle", "ipw_align_pop"])
+    def test_dump_propensities_needs_uctrl(self, tmp_path, objective):
+        out = run_pipeline(tmp_path)
+        fresh = tmp_path / "fresh"
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(fresh),
+            "--objective", objective, "--d", "4", "--epochs", "1",
+            "--dump-propensities", "--quiet",
+        ]) == 1
+        assert not (fresh / "checkpoint.bin").exists()
+        assert not (fresh / "propensities.tsv").exists()
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         from debias_cf import cli
         from debias_cf.errors import NumericalError

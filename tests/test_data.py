@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from debias_cf import data as dm
 from debias_cf.errors import ConfigError, DataError
@@ -69,6 +69,41 @@ class TestInteractionSet:
         with pytest.raises(DataError):
             dm.InteractionSet(2, 2, np.array([[2, 0]]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        n=st.integers(1, 9),
+        density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+        data_seed=st.integers(0, 2**31),
+    )
+    @example(m=1, n=25, density=0.0, data_seed=0)
+    def test_index_matches_scan_oracle(self, m, n, density, data_seed):
+        from conftest import oracle_index
+
+        grid = np.random.default_rng(data_seed).random((m, n)) < density
+        if density == 0.0:
+            iset = dm.InteractionSet(m, n, np.zeros((0, 2)))
+        else:
+            # Shuffled input: the index must not rely on the caller's order.
+            pairs = np.argwhere(grid)[np.random.default_rng(data_seed).permutation(grid.sum())]
+            iset = dm.InteractionSet(m, n, pairs)
+        by_user, by_item, user_counts, item_counts = oracle_index(iset)
+        assert len(iset.by_user) == m and len(iset.by_item) == n
+        for got, want in zip(iset.by_user + iset.by_item, by_user + by_item):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        for got, want in ((iset.user_counts(), user_counts), (iset.item_counts(), item_counts)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_index_views_are_read_only(self):
+        iset = dm.InteractionSet(2, 3, np.array([[0, 1], [1, 0], [1, 2]]))
+        with pytest.raises(ValueError):
+            iset.by_user[0][0] = 2
+        with pytest.raises(ValueError):
+            iset.by_item[0][0] = 0
+        assert iset.pairs.tolist() == [[0, 1], [1, 0], [1, 2]]
+
 
 def _full_set(m, n):
     users, items = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
@@ -126,6 +161,26 @@ class TestSplit:
         for seed in range(50):
             bundle = dm.split_unbiased_protocol(iset, 0.3, 0.3, seed=seed)
             assert set(bundle.train.pairs[:, 0]) == set(range(6))
+
+    @pytest.mark.parametrize("sampling", ["per_item", "global_uniform"])
+    def test_bit_identical_to_reference_split(self, sampling):
+        from conftest import reference_split
+
+        # 12 single-pair users that the repair pass often has to rescue,
+        # 12 heavier users, user 24 and items 20..24 with no pairs at all.
+        rng = np.random.default_rng(11)
+        pairs = [(u, int(rng.integers(0, 20))) for u in range(12)]
+        pairs += [(u, i) for u in range(12, 24) for i in range(20) if rng.random() < 0.4]
+        iset = dm.InteractionSet(25, 25, np.array(pairs))
+        assert iset.user_counts()[24] == 0 and (iset.item_counts()[20:] == 0).all()
+        repaired = 0
+        for seed in range(60):
+            bundle = dm.split_unbiased_protocol(iset, 0.3, 0.2, seed=seed, sampling=sampling)
+            *want, moved = reference_split(iset, 0.3, 0.2, seed, sampling)
+            repaired += moved
+            for got, ref in zip((bundle.train, bundle.validation, bundle.test), want):
+                assert np.array_equal(got.pairs, ref)
+        assert repaired > 0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), data_seed=st.integers(0, 2**31))
@@ -190,6 +245,18 @@ class TestSampleClicks:
         assert len(clicks) == 4
         for u, i in clicks.pairs:
             assert i == (u + 1) % 5
+
+    def test_matches_reference_retry_loop(self):
+        from conftest import reference_sample_clicks
+
+        # Rows whose click chance is small go through the retry loop, and
+        # some of them through the single-best-item fallback too.
+        rel = np.random.default_rng(6).random((30, 8)).astype(np.float32)
+        rel[::2] *= 0.02
+        world = self.world(rel, np.ones((30, 8)))
+        for seed in range(20):
+            want = np.argwhere(reference_sample_clicks(world, seed))
+            assert np.array_equal(dm.sample_clicks(world, seed).pairs, want)
 
     def test_deterministic(self):
         world = dm.generate_synthetic_world(8, 9, 1.0, seed=3)
