@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -49,24 +50,10 @@ _SYNTH_DEFAULTS = {
     "out_dir": DEFAULT_OUT_DIR,
 }
 
+# The training keys and defaults are TrainConfig's; the rest are CLI-only.
 _TRAIN_DEFAULTS = {
     "data_dir": DEFAULT_OUT_DIR,
-    "objective": "directau",
-    "d": 64,
-    "gamma": 1.0,
-    "lambda_rel": 1.0,
-    "mu": 0.1,
-    "lr": 1e-3,
-    "weight_decay": 0.0,
-    "batch_size": 1024,
-    "epochs": 100,
-    "seed": 0,
-    "eval_every": 10,
-    "scoring": "dot",
-    "init_scale": 0.01,
-    "pop_exponent": 0.5,
-    "propensity_grad_through": False,
-    "alternating": False,
+    **dataclasses.asdict(trainer.TrainConfig()),
     "dump_propensities": False,
     "out_dir": DEFAULT_OUT_DIR,
 }
@@ -209,24 +196,8 @@ def _cmd_synth(cfg: dict) -> int:
 
 
 def _train_config(cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        objective=cfg["objective"],
-        d=cfg["d"],
-        gamma=cfg["gamma"],
-        lambda_rel=cfg["lambda_rel"],
-        mu=cfg["mu"],
-        lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-        eval_every=cfg["eval_every"],
-        scoring=cfg["scoring"],
-        propensity_grad_through=cfg["propensity_grad_through"],
-        init_scale=cfg["init_scale"],
-        pop_exponent=cfg["pop_exponent"],
-        alternating=cfg["alternating"],
-    ).validate()
+    fields = dataclasses.fields(trainer.TrainConfig)
+    return trainer.TrainConfig(**{f.name: cfg[f.name] for f in fields}).validate()
 
 
 def _cmd_train(cfg: dict) -> int:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,20 +59,18 @@ class GroupAlignmentReport:
         }
 
 
-def _n_threads(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("DEBIAS_CF_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring non-integer DEBIAS_CF_THREADS=%r", env)
-    return min(4, os.cpu_count() or 1)
+def _idcg_table(top: int) -> np.ndarray:
+    """Ideal DCG for 0..top held-out items, summed in rank order."""
+    gains = (1.0 / math.log2(r + 1) for r in range(1, top + 1))
+    return np.array(list(accumulate(gains, initial=0.0)))
 
 
-def _idcg(n_hits_possible: int) -> float:
-    return sum(1.0 / math.log2(r + 1) for r in range(1, n_hits_possible + 1))
+def _scatter(block: np.ndarray, pairs: InteractionSet, users: np.ndarray) -> None:
+    """Set block[r, i] for every pair (users[r], i), read from the CSR ranges."""
+    start = pairs.user_ptr[users]
+    lens = pairs.user_ptr[users + 1] - start
+    pos = np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
+    block[np.repeat(np.arange(len(users)), lens), pairs.pairs[pos, 1]] = True
 
 
 def _eval_users(
@@ -81,30 +78,47 @@ def _eval_users(
     user_mat: np.ndarray,
     item_mat: np.ndarray,
     k: int,
-    test_items: list[np.ndarray],
-    masked_items: list[np.ndarray],
-    recalls: np.ndarray,
-    ndcgs: np.ndarray,
-    excluded: list[int],
-) -> None:
+    masks: list[InteractionSet],
+    test: InteractionSet,
+    idcg: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recall and NDCG for one block of users; NaN for a user left with no
+    unmasked candidate."""
     n = item_mat.shape[0]
-    scores_chunk = user_mat @ item_mat.T
-    for row, user in enumerate(users):
-        scores = scores_chunk[row].copy()
-        mask = masked_items[user]
-        scores[mask] = -np.inf
-        n_candidates = n - len(mask)
-        if n_candidates <= 0:
-            excluded.append(int(user))
-            continue
-        k_eff = min(k, n_candidates)
-        # Stable sort of the negated scores breaks ties by ascending item id.
-        order = np.argsort(-scores, kind="stable")[:k_eff]
-        test = test_items[user]
-        hit_ranks = np.flatnonzero(np.isin(order, test)) + 1
-        recalls[user] = len(hit_ranks) / len(test)
-        dcg = float(np.sum(1.0 / np.log2(hit_ranks + 1)))
-        ndcgs[user] = dcg / _idcg(min(k, len(test)))
+    top = min(k, n)
+    neg = -(user_mat @ item_mat.T)
+    masked = np.zeros(neg.shape, dtype=bool)
+    for mask in masks:
+        _scatter(masked, mask, users)
+    neg[masked] = np.inf
+    n_candidates = n - masked.sum(axis=1)
+
+    # Keep the items strictly better than the top-th value, then fill up
+    # with the lowest-id items tied with it; a stable sort of the kept ids
+    # then orders them as a stable sort of all n negated scores would.
+    kth = np.partition(neg, top - 1, axis=1)[:, top - 1 : top]
+    better = neg < kth
+    tied = neg == kth
+    need = top - better.sum(axis=1, keepdims=True)
+    keep = better | (tied & (np.cumsum(tied, axis=1) <= need))
+    ids = np.nonzero(keep)[1].reshape(len(users), top)
+    by_score = np.argsort(np.take_along_axis(neg, ids, axis=1), axis=1, kind="stable")
+    ranked = np.take_along_axis(ids, by_score, axis=1)
+
+    is_test = np.zeros(neg.shape, dtype=bool)
+    _scatter(is_test, test, users)
+    hits = np.take_along_axis(is_test, ranked, axis=1)
+    hits &= np.arange(top) < np.minimum(k, n_candidates)[:, None]
+    n_test = test.user_ptr[users + 1] - test.user_ptr[users]
+    gains = 1.0 / np.log2(np.arange(2, top + 2))
+    # A sequential sum, as the rank-by-rank definition of DCG reads.
+    dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)[:, -1]
+    recall = hits.sum(axis=1) / n_test
+    ndcg = dcg / idcg[np.minimum(k, n_test)]
+    out = n_candidates == 0
+    recall[out] = np.nan
+    ndcg[out] = np.nan
+    return recall, ndcg
 
 
 def evaluate_topk(
@@ -115,16 +129,19 @@ def evaluate_topk(
     scoring: str = "dot",
     mask_extra: InteractionSet | None = None,
     per_user: bool = False,
-    n_threads: int | None = None,
 ) -> MetricsReport:
     """Rank all items per user and score the held-out set.
 
     Items the user interacted with in train (and mask_extra, typically the
     validation set) are removed from the candidate list. Recall@k divides
     hits by the user's full held-out count; NDCG@k uses binary gains with
-    the ideal gain truncated at min(k, held-out count). Users without test
-    interactions are skipped; aggregate metrics are plain means over the
-    evaluated users.
+    the ideal gain truncated at min(k, held-out count). Ties in score go
+    to the lower item id. Users without test interactions are skipped;
+    aggregate metrics are plain means over the evaluated users.
+
+    Users are ranked in blocks of _CHUNK: one matmul scores a block, the
+    masked items are scattered in from the CSR ranges, and a partition
+    picks each row's top k.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -133,7 +150,7 @@ def evaluate_topk(
     if len(test) == 0:
         raise DataError("test set is empty")
     if (test.m, test.n) != (model.m, model.n):
-        raise ConfigError("test set dimensions do not match the model")
+        raise DataError("test set dimensions do not match the model")
 
     if scoring == "dot":
         user_mat = model.user_vecs.astype(np.float64)
@@ -142,56 +159,24 @@ def evaluate_topk(
         user_mat = normalize_rows(model.user_vecs.astype(np.float64))
         item_mat = normalize_rows(model.item_vecs.astype(np.float64))
 
-    test_items = test.by_user
-    masked_items = []
-    for user in range(model.m):
-        mask = train.by_user[user]
-        if mask_extra is not None:
-            mask = np.union1d(mask, mask_extra.by_user[user])
-        masked_items.append(np.asarray(mask, dtype=np.int64))
-
-    eval_users = np.array(
-        [u for u in range(model.m) if len(test_items[u]) > 0], dtype=np.int64
-    )
+    masks = [train] if mask_extra is None else [train, mask_extra]
+    idcg = _idcg_table(min(k, model.n))
+    eval_users = np.flatnonzero(test.user_counts())
     recalls = np.full(model.m, np.nan)
     ndcgs = np.full(model.m, np.nan)
-    excluded: list[int] = []
-
-    chunks = [eval_users[i : i + _CHUNK] for i in range(0, len(eval_users), _CHUNK)]
-    threads = min(_n_threads(n_threads), max(1, len(chunks)))
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _eval_users,
-                    chunk,
-                    user_mat[chunk],
-                    item_mat,
-                    k,
-                    test_items,
-                    masked_items,
-                    recalls,
-                    ndcgs,
-                    excluded,
-                )
-                for chunk in chunks
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        for chunk in chunks:
-            _eval_users(
-                chunk, user_mat[chunk], item_mat, k, test_items, masked_items,
-                recalls, ndcgs, excluded,
-            )
-
-    if excluded:
-        log.warning(
-            "%d user(s) with test interactions had no unmasked candidates "
-            "and were excluded", len(excluded),
+    for i in range(0, len(eval_users), _CHUNK):
+        chunk = eval_users[i : i + _CHUNK]
+        recalls[chunk], ndcgs[chunk] = _eval_users(
+            chunk, user_mat[chunk], item_mat, k, masks, test, idcg
         )
+
     done = ~np.isnan(recalls)
     n_eval = int(done.sum())
+    if n_eval < len(eval_users):
+        log.warning(
+            "%d user(s) with test interactions had no unmasked candidates "
+            "and were excluded", len(eval_users) - n_eval,
+        )
     if n_eval == 0:
         raise DataError("no evaluable users (all excluded)")
     report = MetricsReport(
@@ -237,7 +222,7 @@ def group_alignment(
     if len(pairs) == 0:
         raise DataError("group alignment needs a non-empty pair set")
     if len(user_counts) != model.m or len(item_counts) != model.n:
-        raise ConfigError("count vectors do not match model dimensions")
+        raise DataError("count vectors do not match model dimensions")
 
     arr = pairs.pairs
     u_norm = normalize_rows(model.user_vecs[arr[:, 0]].astype(np.float64))

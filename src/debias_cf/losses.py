@@ -52,8 +52,6 @@ class LossTerms:
     uniform_user: float
     uniform_item: float
     total: float
-    gamma: float = 0.0
-    lambda_rel: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +113,7 @@ def ideal_alignment_loss(
     if (world.m, world.n) != (model.m, model.n):
         raise DataError("world dimensions do not match the model")
     if (pair_set.m, pair_set.n) != (model.m, model.n):
-        raise ConfigError("pair set dimensions do not match the model")
+        raise DataError("pair set dimensions do not match the model")
     if len(pair_set) == 0:
         raise ConfigError("ideal alignment needs a non-empty pair set")
     pairs = pair_set.pairs
@@ -175,7 +173,7 @@ def dau_param_grads(
     grad_user = normalize_rows_backward(un, u_norms, u_deg, grad_un)
     grad_item = normalize_rows_backward(it, i_norms, i_deg, grad_it)
     total = align + gamma * (uu + ui) / 2.0
-    return LossTerms(align, uu, ui, total, gamma=gamma), grad_user, grad_item
+    return LossTerms(align, uu, ui, total), grad_user, grad_item
 
 
 @dataclass
@@ -226,7 +224,7 @@ def relation_param_grads(
     grad_mu = grad_zu.T @ base_user_norm
     grad_mi = grad_zi.T @ base_item_norm
     total = align + lambda_rel * (uu + ui) / 2.0
-    terms = LossTerms(align, uu, ui, total, lambda_rel=lambda_rel)
+    terms = LossTerms(align, uu, ui, total)
     return terms, grad_mu, grad_mi, forward
 
 

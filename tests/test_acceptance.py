@@ -334,7 +334,7 @@ def test_criterion_5_metric_oracles():
         test_set = InteractionSet(m, n, free[take])
         k = int(rng.integers(1, 30))
 
-        rep = evaluation.evaluate_topk(model, train_set, test_set, k=k, n_threads=1)
+        rep = evaluation.evaluate_topk(model, train_set, test_set, k=k)
         tr = {u: set(map(int, train_set.by_user[u])) for u in range(m)}
         te = {u: set(map(int, test_set.by_user[u])) for u in range(m)
               if len(test_set.by_user[u])}

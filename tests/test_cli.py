@@ -145,6 +145,19 @@ class TestErrors:
             "--world", str(other / "world.bin"), "--quiet",
         ]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_split_of_another_run_is_data_error(self, tmp_path, command):
+        out = run_pipeline(tmp_path)  # 40 x 60
+        other = tmp_path / "other"
+        assert main([
+            "synth", "--m", "30", "--n", "50", "--seed", "1",
+            "--out-dir", str(other), "--quiet",
+        ]) == 0
+        assert main([
+            command, "--run-dir", str(out), "--data-dir", str(other),
+            "--out-dir", str(tmp_path / "report"), "--quiet",
+        ]) == 2
+
     @pytest.mark.parametrize("objective", ["directau", "ipw_align_oracle", "ipw_align_pop"])
     def test_dump_propensities_needs_uctrl(self, tmp_path, objective):
         out = run_pipeline(tmp_path)

@@ -24,6 +24,20 @@ def iset(m, n, pairs):
     return InteractionSet(m, n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
+def overlapping_mask(rng, train, k):
+    """A mask_extra that overlaps train and leaves user 0 between 1 and
+    k - 1 unmasked candidates; returns it and one of those candidates."""
+    m, n = train.m, train.n
+    grid = rng.random((m, n)) < 0.2
+    grid[tuple(train.pairs[0])] = True
+    open_items = np.setdiff1d(np.arange(n), train.by_user[0])
+    keep = rng.choice(open_items, size=int(rng.integers(1, min(k, len(open_items) + 1))),
+                      replace=False)
+    grid[0] = True
+    grid[0, keep] = False
+    return InteractionSet(m, n, np.argwhere(grid)), int(keep[0])
+
+
 class TestEvaluateTopk:
     def test_perfect_ranking(self):
         # item 1 scores highest for user 0 and is the single test item
@@ -73,21 +87,38 @@ class TestEvaluateTopk:
         report = ev.evaluate_topk(model, train, test, k=1)
         assert report.recall_at_k == 1.0  # item 0 wins the tie
 
-    def test_matches_brute_force_on_random_instances(self, rng):
+    @pytest.mark.parametrize("ties", [False, True], ids=["gaussian", "integer-ties"])
+    def test_matches_brute_force_on_random_instances(self, rng, ties):
         for _ in range(20):
             m, n = 30, 40
-            model = model_from(rng.normal(size=(m, 6)), rng.normal(size=(n, 6)))
+            if ties:
+                # d=2 integer factors: scores tie exactly at the k-th boundary
+                model = model_from(rng.integers(-2, 3, (m, 2)), rng.integers(-2, 3, (n, 2)))
+            else:
+                model = model_from(rng.normal(size=(m, 6)), rng.normal(size=(n, 6)))
             train = random_interaction_set(rng, m, n, density=0.2)
-            # test pairs disjoint from train
+            masked = {u: set(map(int, train.by_user[u])) for u in range(m)}
+            extra = None
+            if ties:
+                k = int(rng.integers(2, n + 6))
+                extra, short_item = overlapping_mask(rng, train, k)
+                for u in range(m):
+                    masked[u] |= set(map(int, extra.by_user[u]))
+                assert n - len(masked[0]) < k  # user 0's list is short
+            # test pairs disjoint from the masked ones
             free = np.array(
-                [(u, i) for u in range(m) for i in range(n)
-                 if (u, i) not in train.pair_set()]
+                [(u, i) for u in range(m) for i in range(n) if i not in masked[u]]
             )
             take = rng.choice(len(free), size=min(80, len(free)), replace=False)
-            test = InteractionSet(m, n, free[take])
-            k = int(rng.integers(1, 25))
-            report = ev.evaluate_topk(model, train, test, k=k, n_threads=2)
-            train_by_user = {u: set(map(int, train.by_user[u])) for u in range(m)}
+            test_pairs = free[take]
+            if ties:
+                # a held-out item that is also masked is never a hit
+                extra_pairs = [[0, short_item], [0, min(masked[0])]]
+                test_pairs = np.unique(np.vstack([test_pairs, extra_pairs]), axis=0)
+            else:
+                k = int(rng.integers(1, 25))
+            test = InteractionSet(m, n, test_pairs)
+            report = ev.evaluate_topk(model, train, test, k=k, mask_extra=extra)
             test_by_user = {
                 u: set(map(int, test.by_user[u]))
                 for u in range(m)
@@ -96,7 +127,7 @@ class TestEvaluateTopk:
             recall, ndcg, _ = brute_force_topk(
                 model.user_vecs.astype(np.float64),
                 model.item_vecs.astype(np.float64),
-                train_by_user, test_by_user, k,
+                masked, test_by_user, k,
             )
             assert report.recall_at_k == pytest.approx(recall, abs=1e-12)
             assert report.ndcg_at_k == pytest.approx(ndcg, abs=1e-12)
@@ -136,13 +167,6 @@ class TestEvaluateTopk:
         report = ev.evaluate_topk(model, train, test, k=3)
         assert report.ndcg_at_k == 1.0
         assert report.recall_at_k == 1.0
-
-    def test_thread_cap_env_var(self, monkeypatch):
-        monkeypatch.setenv("DEBIAS_CF_THREADS", "2")
-        assert ev._n_threads(None) == 2
-        monkeypatch.setenv("DEBIAS_CF_THREADS", "bogus")
-        assert ev._n_threads(None) >= 1  # falls back with a warning
-        assert ev._n_threads(7) == 7  # explicit argument wins
 
 
 class TestGroupAlignment:
