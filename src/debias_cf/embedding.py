@@ -54,12 +54,6 @@ class EmbeddingTable:
             self.m, self.n, self.d, self.user_vecs.copy(), self.item_vecs.copy()
         )
 
-    def check_finite(self):
-        if not np.isfinite(self.user_vecs).all():
-            raise DataError("non-finite entries in user embeddings")
-        if not np.isfinite(self.item_vecs).all():
-            raise DataError("non-finite entries in item embeddings")
-
 
 @dataclass
 class ProjectionPair:
@@ -82,10 +76,6 @@ class ProjectionPair:
 
     def copy(self) -> "ProjectionPair":
         return ProjectionPair(self.m_user.copy(), self.m_item.copy())
-
-    def check_finite(self):
-        if not (np.isfinite(self.m_user).all() and np.isfinite(self.m_item).all()):
-            raise DataError("non-finite entries in projection matrices")
 
 
 def init_model(

@@ -81,20 +81,41 @@ def pair_sq_dists(u_norm: np.ndarray, i_norm: np.ndarray) -> np.ndarray:
     return np.einsum("bd,bd->b", diff, diff)
 
 
+#: Rows of the B x B kernel built per pass in uniformity_value_grad; one
+#: block and its temporary stay in L2 cache at the trainer's batch sizes.
+UNIFORMITY_BLOCK_ROWS = 32
+
+
 def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
     """log mean_{k != l} exp(-2 ||x_k - x_l||^2) over ordered distinct pairs.
 
     With S = sum_{k != l} exp(-2 d_kl^2), the gradient is
     d/dx_k = -(8/S) sum_{l != k} e_kl (x_k - x_l).
+
+    The kernel overwrites the Gram matrix block by block, with the same
+    elementwise operations in the same order as the unblocked formula
+    exp(-2 max(sqn_k + sqn_l - 2 G_kl, 0)), so results are bit-identical
+    to it.
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     b = vecs.shape[0]
     if b < 2:
         raise ConfigError("uniformity needs at least 2 vectors")
-    gram = vecs @ vecs.T
-    sqn = np.diagonal(gram)
-    d2 = np.maximum(sqn[:, None] + sqn[None, :] - 2.0 * gram, 0.0)
-    kernel = np.exp(-2.0 * d2)
+    # vecs @ vecs.T takes BLAS's symmetric (syrk) path; a general product
+    # of vecs with a transposed copy can differ in the last bit.
+    kernel = vecs @ vecs.T
+    sqn = np.diagonal(kernel).copy()
+    tmp = np.empty((min(UNIFORMITY_BLOCK_ROWS, b), b))
+    for r0 in range(0, b, UNIFORMITY_BLOCK_ROWS):
+        r1 = min(r0 + UNIFORMITY_BLOCK_ROWS, b)
+        blk = kernel[r0:r1]
+        t = tmp[: r1 - r0]
+        np.add(sqn[r0:r1, None], sqn[None, :], out=t)
+        blk *= 2.0
+        np.subtract(t, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        blk *= -2.0
+        np.exp(blk, out=blk)
     np.fill_diagonal(kernel, 0.0)
     total = kernel.sum()
     value = float(math.log(total / (b * (b - 1))))
@@ -156,15 +177,20 @@ def dau_param_grads(
     i_inv: np.ndarray,
     weights: np.ndarray,
     gamma: float,
+    unit: tuple[tuple, tuple] | None = None,
 ) -> tuple[LossTerms, np.ndarray, np.ndarray]:
     """Objective value and gradients w.r.t. raw unique embedding rows.
 
     user_rows/item_rows hold one raw row per distinct batch entity; u_inv
     and i_inv map each pair to its row. The returned gradients include the
-    chain rule through L2 normalization.
+    chain rule through L2 normalization. A caller that has already
+    normalized the rows passes the two normalize_rows_full results as
+    unit, so the rows are not normalized (and degenerate rows not logged)
+    a second time.
     """
-    un, u_norms, u_deg = normalize_rows_full(user_rows)
-    it, i_norms, i_deg = normalize_rows_full(item_rows)
+    if unit is None:
+        unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
+    (un, u_norms, u_deg), (it, i_norms, i_deg) = unit
     pair_u = un[u_inv]
     pair_i = it[i_inv]
     align, g_pu, g_pi = alignment_value_grad(pair_u, pair_i, weights)

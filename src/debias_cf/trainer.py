@@ -87,11 +87,17 @@ class TrainConfig:
         return self
 
 
+#: Rows of a tensor per pass of Adam's bias-corrected update; the block's
+#: float64 temporaries stay in L2 cache.
+ADAM_BLOCK_ROWS = 256
+
+
 class Adam:
     """Plain Adam with bias correction and decoupled weight decay.
 
     Moments live in float64 keyed by tensor name; one shared step counter
-    advances per batch.
+    advances per batch. The update is dense: every row's moments decay and
+    every row moves, also rows the batch did not touch.
     """
 
     def __init__(
@@ -113,23 +119,54 @@ class Adam:
         self.v = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
 
     def step(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
+        self,
+        params: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
     ) -> dict[str, np.ndarray]:
-        """One update over the tensors named in grads; returns new values."""
+        """One update over the tensors named in grads, written into params
+        in place; returns the updated tensors.
+
+        A gradient is either an array of the tensor's shape or a pair
+        (rows, row_grads) of unique row indices and their gradient rows;
+        the rows it leaves out have zero gradient. The arithmetic is
+        float64 whatever the parameter's dtype, and the result is rounded
+        to that dtype, so a float32 table gets exactly what a float64 copy
+        updated with a zero-filled dense gradient would round to.
+        """
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        lr_wd = self.lr * self.weight_decay
         out = {}
         for name, g in grads.items():
             p = params[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            out[name] = p - self.lr * update - self.lr * self.weight_decay * p
+            rows = slice(None)
+            if isinstance(g, tuple):
+                rows, g = g
+            # A zero gradient would add +0.0, which leaves every moment
+            # unchanged (a moment is never -0.0), so only touched rows add.
+            m *= b1
+            m[rows] += (1.0 - b1) * g
+            v *= b2
+            v[rows] += (1.0 - b2) * g * g
+            for r0 in range(0, len(p), ADAM_BLOCK_ROWS):
+                blk = slice(r0, r0 + ADAM_BLOCK_ROWS)
+                p_blk = p[blk]
+                den = v[blk] / bc2
+                np.sqrt(den, out=den)
+                den += self.eps
+                upd = m[blk] / bc1
+                upd /= den
+                upd *= self.lr
+                # (p - lr * update) - (lr * wd) * p, in float64
+                np.subtract(p_blk, upd, out=upd)
+                np.multiply(lr_wd, p_blk, out=den, dtype=np.float64)
+                upd -= den
+                p_blk[...] = upd
+            out[name] = p
         return out
 
 
@@ -188,8 +225,10 @@ def init_state(m: int, n: int, config: TrainConfig) -> TrainState:
     return TrainState(model, projections, opt, step=0, seed=config.seed)
 
 
-def _check_finite_grads(grads: dict[str, np.ndarray], step: int) -> None:
+def _check_finite_grads(grads: dict, step: int) -> None:
     for name, g in grads.items():
+        if isinstance(g, tuple):
+            g = g[1]
         if not np.isfinite(g).all():
             raise NumericalError(
                 f"non-finite gradient in tensor {name!r} at step {step}"
@@ -210,13 +249,13 @@ def train_step(
     iids, i_inv = np.unique(pairs[:, 1], return_inverse=True)
     user_rows = model.user_vecs[uids].astype(np.float64)
     item_rows = model.item_vecs[iids].astype(np.float64)
+    unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
 
     relation_terms = None
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
     omega_raw = None
     if config.objective == "uctrl":
-        base_u_norm, _, _ = normalize_rows_full(user_rows)
-        base_i_norm, _, _ = normalize_rows_full(item_rows)
+        base_u_norm, base_i_norm = unit[0][0], unit[1][0]
         relation_terms, g_mu, g_mi, forward = losses.relation_param_grads(
             base_u_norm,
             base_i_norm,
@@ -243,7 +282,7 @@ def train_step(
     else:
         _, weights = propensity.inverse_weights(omega_raw, config.mu)
     main_terms, g_user, g_item = losses.dau_param_grads(
-        user_rows, item_rows, u_inv, i_inv, weights, config.gamma
+        user_rows, item_rows, u_inv, i_inv, weights, config.gamma, unit=unit
     )
 
     if config.objective == "uctrl":
@@ -264,14 +303,10 @@ def train_step(
         grads["m_user"] = g_mu
         grads["m_item"] = g_mi
 
-    # Dense gradients: rows outside the batch carry zero gradient but still
-    # see momentum decay, the standard dense-Adam semantics.
-    g_user_full = np.zeros((model.m, model.d), dtype=np.float64)
-    g_user_full[uids] = g_user
-    g_item_full = np.zeros((model.n, model.d), dtype=np.float64)
-    g_item_full[iids] = g_item
-    grads["user_vecs"] = g_user_full
-    grads["item_vecs"] = g_item_full
+    # Row gradients: Adam gives the rows outside the batch zero gradient,
+    # so their moments still decay (dense-Adam semantics).
+    grads["user_vecs"] = (uids, g_user)
+    grads["item_vecs"] = (iids, g_item)
 
     if config.objective == "uctrl" and config.alternating:
         if (state.opt.t + 1) % 2 == 1:  # odd steps train the embeddings
@@ -283,22 +318,19 @@ def train_step(
     _check_finite_grads(grads, state.step + 1)
 
     params = {
-        "user_vecs": model.user_vecs.astype(np.float64),
-        "item_vecs": model.item_vecs.astype(np.float64),
-        "m_user": proj.m_user.astype(np.float64),
-        "m_item": proj.m_item.astype(np.float64),
+        "user_vecs": model.user_vecs,
+        "item_vecs": model.item_vecs,
+        "m_user": proj.m_user,
+        "m_item": proj.m_item,
     }
-    new = state.opt.step(params, grads)
+    updated = state.opt.step(params, grads)
     state.step = state.opt.t
-    if "user_vecs" in new:
-        model.user_vecs = new["user_vecs"].astype(np.float32)
-        model.item_vecs = new["item_vecs"].astype(np.float32)
-    if "m_user" in new:
-        proj.m_user = new["m_user"].astype(np.float32)
-        proj.m_item = new["m_item"].astype(np.float32)
     if debug_enabled():
-        model.check_finite()
-        proj.check_finite()
+        for name, value in updated.items():
+            if not np.isfinite(value).all():
+                raise NumericalError(
+                    f"non-finite values in tensor {name!r} after step {state.step}"
+                )
 
     total = main_terms.total + (relation_terms.total if relation_terms else 0.0)
     return StepTerms(main_terms, relation_terms, total)

@@ -76,6 +76,50 @@ def brute_force_topk(user_vecs, item_vecs, train_items, test_items, k):
     return float(np.mean(recalls)), float(np.mean(ndcgs)), per_user
 
 
+def reference_uniformity_value_grad(vecs):
+    """uniformity_value_grad unblocked: whole B x B temporaries, one
+    expression per step."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    b = vecs.shape[0]
+    gram = vecs @ vecs.T
+    sqn = np.diagonal(gram)
+    d2 = np.maximum(sqn[:, None] + sqn[None, :] - 2.0 * gram, 0.0)
+    kernel = np.exp(-2.0 * d2)
+    np.fill_diagonal(kernel, 0.0)
+    total = kernel.sum()
+    value = float(math.log(total / (b * (b - 1))))
+    grad = (-8.0 / total) * (kernel.sum(axis=1)[:, None] * vecs - kernel @ vecs)
+    return value, grad
+
+
+def reference_adam_step(opt, params, grads):
+    """Dense Adam on float64 copies of the parameters, with row gradients
+    zero-filled to the full table. opt is a trainer.Adam used only for its
+    hyperparameters and state (t, m, v), which this function advances;
+    grads maps a name to a dense array or to (rows, row_grads). Returns new
+    arrays in the parameters' dtypes."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1**opt.t
+    bc2 = 1.0 - opt.beta2**opt.t
+    out = {}
+    for name, g in grads.items():
+        p = params[name].astype(np.float64)
+        if isinstance(g, tuple):
+            rows, row_grads = g
+            g = np.zeros_like(p)
+            g[rows] = row_grads
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        new = p - opt.lr * update - opt.lr * opt.weight_decay * p
+        out[name] = new.astype(params[name].dtype)
+    return out
+
+
 def unit_inverse_weights(omega_raw, mu):
     """Stand-in for propensity.inverse_weights that sets every propensity
     and alignment weight to 1; the embedding update then matches the

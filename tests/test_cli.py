@@ -185,6 +185,23 @@ class TestErrors:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("debug", ["0", "1"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverging_run_exits_3(self, tmp_path, monkeypatch, debug):
+        # In debug mode the post-step parameter check fires first; it is a
+        # numerical failure too, not a data error.
+        monkeypatch.setenv("DEBIAS_CF_DEBUG", debug)
+        out = tmp_path / "run"
+        assert main([
+            "synth", "--m", "40", "--n", "60", "--skew", "1.5", "--seed", "7",
+            "--out-dir", str(out), "--quiet",
+        ]) == 0
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(out),
+            "--lr", "1e39", "--d", "8", "--batch-size", "16", "--quiet",
+        ]) == 3
+
 
 class TestConfigFile:
     def test_file_plus_flag_precedence(self, tmp_path):

@@ -15,7 +15,12 @@ from debias_cf.data import (
 from debias_cf.embedding import EmbeddingTable, normalize_rows
 from debias_cf.errors import ConfigError
 from debias_cf.trainer import TrainConfig, init_state, train_step
-from conftest import brute_force_uniformity, central_difference, max_relative_error
+from conftest import (
+    brute_force_uniformity,
+    central_difference,
+    max_relative_error,
+    reference_uniformity_value_grad,
+)
 
 
 def unit(v):
@@ -121,6 +126,29 @@ class TestUniformity:
             lambda: losses.uniformity_value_grad(vecs)[0], vecs, h=1e-6
         )
         assert max_relative_error(grad, fd) < 1e-6
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            2,
+            3,
+            losses.UNIFORMITY_BLOCK_ROWS - 1,
+            losses.UNIFORMITY_BLOCK_ROWS,
+            losses.UNIFORMITY_BLOCK_ROWS + 1,
+            2 * losses.UNIFORMITY_BLOCK_ROWS + 1,
+            750,
+        ],
+    )
+    def test_blocked_kernel_bit_identical_to_unblocked(self, b):
+        rng = np.random.default_rng(b)
+        vecs = normalize_rows(rng.normal(size=(b, 16)))
+        vecs[b - 1] = vecs[0]  # a duplicate row: d2 = 0 off the diagonal
+        vecs[b // 2] = 0.0
+        vecs[b // 2, 0] = 1.0  # e1, the degenerate-row fallback
+        value, grad = losses.uniformity_value_grad(vecs)
+        ref_value, ref_grad = reference_uniformity_value_grad(vecs)
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31))

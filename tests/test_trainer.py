@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from debias_cf.data import InteractionSet, SplitBundle, generate_synthetic_world
 from debias_cf.embedding import normalize_rows
 from debias_cf.errors import ConfigError, NumericalError
 from debias_cf.trainer import Adam, TrainConfig, init_state, make_batches, train, train_step
-from conftest import unit_inverse_weights
+from conftest import reference_adam_step, unit_inverse_weights
 
 
 def toy_bundle(seed=0, m=20, n=20, skew=1.0):
@@ -76,8 +77,8 @@ class TestAdam:
             vhat = v / (1 - b2**t)
             ph = ph - lr * mhat / (math.sqrt(vhat) + eps)
             expected.append(ph)
-        assert values[0] == pytest.approx(expected[0], abs=1e-12)
-        assert values[1] == pytest.approx(expected[1], abs=1e-12)
+        assert float(values[0]) == pytest.approx(expected[0], rel=0, abs=1e-12)
+        assert float(values[1]) == pytest.approx(expected[1], rel=0, abs=1e-12)
 
     def test_decoupled_weight_decay(self):
         lr, wd = 0.1, 0.01
@@ -85,7 +86,36 @@ class TestAdam:
         p0 = np.array([2.0])
         p1 = opt.step({"x": p0}, {"x": np.array([0.0])})["x"]
         # zero gradient: only the decay term moves the parameter
-        assert p1[0] == pytest.approx(2.0 - lr * wd * 2.0, abs=1e-15)
+        assert float(p1[0]) == pytest.approx(2.0 - lr * wd * 2.0, rel=0, abs=1e-15)
+
+    def test_row_sparse_steps_bit_identical_to_dense_reference(self):
+        rng = np.random.default_rng(3)
+        block, d = trainer.ADAM_BLOCK_ROWS, 8
+        shapes = {
+            "user_vecs": (2 * block + 3, d),
+            "item_vecs": (block - 1, d),
+            "m_user": (d, d),
+        }
+        kw = dict(lr=0.05, weight_decay=1e-2)
+        opt, ref = Adam(shapes, **kw), Adam(shapes, **kw)
+        params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        expected = {k: p.copy() for k, p in params.items()}
+        for step in range(6):
+            grads = {"m_user": rng.normal(size=(d, d))}
+            for name in ("user_vecs", "item_vecs"):
+                n_rows = shapes[name][0]
+                if step == 3:
+                    rows = np.arange(n_rows)
+                else:  # the last 5 rows are left out
+                    rows = np.unique(rng.integers(0, n_rows - 5, size=40))
+                grads[name] = (rows, rng.normal(size=(len(rows), d)))
+            expected = reference_adam_step(ref, expected, grads)
+            opt.step(params, grads)
+            for name in shapes:
+                assert params[name].dtype == np.float32
+                assert np.array_equal(params[name], expected[name]), (name, step)
+                assert np.array_equal(opt.m[name], ref.m[name]), (name, step)
+                assert np.array_equal(opt.v[name], ref.v[name]), (name, step)
 
 
 class TestTrainStep:
@@ -108,6 +138,20 @@ class TestTrainStep:
         state.model.user_vecs[0] = np.nan
         with pytest.raises(NumericalError, match="user_vecs.*step 1"):
             train_step(state, bundle.train.pairs[:8], config)
+
+    @pytest.mark.parametrize("objective", ["directau", "uctrl"])
+    def test_degenerate_row_logged_once_per_step(self, objective, caplog):
+        _, bundle = toy_bundle(seed=12, m=5, n=5)
+        config = small_config(objective=objective, seed=15)
+        state = init_state(bundle.train.m, bundle.train.n, config)
+        state.model.user_vecs[0] = 0.0
+        batch = bundle.train.pairs
+        assert 0 in batch[:, 0]
+        with caplog.at_level(logging.WARNING, logger="debias_cf"):
+            train_step(state, batch, config)
+            train_step(state, batch, config)
+        logged = [r for r in caplog.records if "degenerate" in r.getMessage()]
+        assert len(logged) == 2
 
     def test_single_pair_alignment_strictly_decreases(self):
         config = small_config(objective="directau", gamma=0.0, lr=1e-2, seed=3)
