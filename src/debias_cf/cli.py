@@ -80,6 +80,16 @@ _ANALYZE_DEFAULTS = {
 }
 
 
+#: JSON types a config-file value may take, by the type of the key's default.
+_CONFIG_TYPES = {
+    bool: ((bool,), "boolean"),
+    int: ((int,), "integer"),
+    float: ((int, float), "number"),
+    str: ((str,), "string"),
+    type(None): ((str, type(None)), "string or null"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse exits with code 2 on usage errors; we reserve 2 for data
@@ -118,13 +128,18 @@ def _effective_config(defaults: dict, ns: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except FileNotFoundError:
             raise DataError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a flat JSON object")
         for key, val in file_cfg.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
+            allowed, kind = _CONFIG_TYPES[type(defaults[key])]
+            if type(val) not in allowed:  # exact: a JSON bool is no integer
+                raise ConfigError(
+                    f"config key {key!r} must be a JSON {kind}, got {val!r}"
+                )
             effective[key] = val
     effective.update(values)
     effective["quiet"] = quiet

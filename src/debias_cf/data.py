@@ -9,7 +9,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,26 +32,18 @@ _WORLD_SHARPNESS = 3.0
 _WORLD_ACTIVITY_LO, _WORLD_ACTIVITY_HI = 1.0, 5.0
 
 
-class Interaction(NamedTuple):
-    user: int
-    item: int
-
-
 @dataclass
 class InteractionSet:
     """A duplicate-free set of clicked (user, item) pairs with indexes by
     user and by item. Pairs are kept in lexicographic order, so equal sets
     compare equal structurally. User u owns pairs[user_ptr[u]:user_ptr[u + 1]];
-    item i owns the ascending positions item_order[item_ptr[i]:item_ptr[i + 1]].
-    by_user and by_item are read-only views into these ranges."""
+    item i owns the ascending positions item_order[item_ptr[i]:item_ptr[i + 1]]."""
 
     m: int
     n: int
     pairs: np.ndarray  # (P, 2) int64, lexicographically sorted
     user_labels: list[str] | None = None
     item_labels: list[str] | None = None
-    by_user: list[np.ndarray] = field(init=False, repr=False)
-    by_item: list[np.ndarray] = field(init=False, repr=False)
     user_ptr: np.ndarray = field(init=False, repr=False)  # (m + 1,) offsets
     item_ptr: np.ndarray = field(init=False, repr=False)  # (n + 1,) offsets
     item_order: np.ndarray = field(init=False, repr=False)  # (P,) positions
@@ -73,8 +64,6 @@ class InteractionSet:
         self.item_order = np.argsort(pairs[:, 1], kind="stable")
         self.user_ptr = np.searchsorted(pairs[:, 0], np.arange(self.m + 1))
         self.item_ptr = np.searchsorted(pairs[self.item_order, 1], np.arange(self.n + 1))
-        self.by_user = _read_only_split(pairs[:, 1], self.user_ptr)
-        self.by_item = _read_only_split(pairs[self.item_order, 0], self.item_ptr)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -97,14 +86,6 @@ class InteractionSet:
     def replaced(self, pairs: np.ndarray) -> "InteractionSet":
         """Same dimensions and labels, different pair list."""
         return InteractionSet(self.m, self.n, pairs, self.user_labels, self.item_labels)
-
-
-def _read_only_split(values: np.ndarray, ptr: np.ndarray) -> list[np.ndarray]:
-    """Views values[ptr[k]:ptr[k + 1]] that cannot write through to values."""
-    values = values.view()
-    values.setflags(write=False)
-    bounds = ptr.tolist()
-    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -144,6 +125,15 @@ class SyntheticWorld:
             raise DataError("exposure values must lie in (0, 1]")
 
 
+def _text_lines(path):
+    """Numbered lines of a UTF-8 text file; undecodable bytes are a DataError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_interactions(path, lenient: bool = False) -> InteractionSet:
     """Parse a UTF-8 TSV of `user_id<TAB>item_id` lines into dense indices.
 
@@ -156,25 +146,24 @@ def load_interactions(path, lenient: bool = False) -> InteractionSet:
     items: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 and not (lenient and len(fields) > 2):
-                raise DataError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            uid, iid = fields[0], fields[1]
-            if not uid or not iid:
-                raise DataError(f"{path}: line {lineno}: empty id")
-            u = users.setdefault(uid, len(users))
-            i = items.setdefault(iid, len(items))
-            if (u, i) not in seen:
-                seen.add((u, i))
-                pairs.append((u, i))
+    for lineno, line in _text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 and not (lenient and len(fields) > 2):
+            raise DataError(
+                f"{path}: line {lineno}: expected 2 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        uid, iid = fields[0], fields[1]
+        if not uid or not iid:
+            raise DataError(f"{path}: line {lineno}: empty id")
+        u = users.setdefault(uid, len(users))
+        i = items.setdefault(iid, len(items))
+        if (u, i) not in seen:
+            seen.add((u, i))
+            pairs.append((u, i))
     if not pairs:
         raise DataError(f"{path}: no interactions")
     return InteractionSet(
@@ -361,18 +350,17 @@ def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
 def _read_pairs_tsv(path: Path, u_map: dict, i_map: dict, m: int, n: int,
                     user_labels, item_labels) -> InteractionSet:
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields")
-            try:
-                pairs.append((u_map[fields[0]], i_map[fields[1]]))
-            except KeyError as exc:
-                raise DataError(f"{path}: line {lineno}: unknown id {exc}") from None
+    for lineno, line in _text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 2 fields")
+        try:
+            pairs.append((u_map[fields[0]], i_map[fields[1]]))
+        except KeyError as exc:
+            raise DataError(f"{path}: line {lineno}: unknown id {exc}") from None
     arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return InteractionSet(m, n, arr, user_labels, item_labels)
 
@@ -383,9 +371,22 @@ def load_split(split_dir) -> SplitBundle:
     manifest_path = root / "split-manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{split_dir}: missing split-manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    m, n = int(manifest["m"]), int(manifest["n"])
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: not a JSON object")
+    missing = [k for k in ("m", "n", "user_labels", "item_labels") if k not in manifest]
+    if missing:
+        raise DataError(f"{manifest_path}: missing keys {missing}")
+    m, n = manifest["m"], manifest["n"]
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise DataError(f"{manifest_path}: m and n must be non-negative integers")
+    for key in ("user_labels", "item_labels"):
+        if not isinstance(manifest[key], (list, type(None))):
+            raise DataError(f"{manifest_path}: {key} must be a list or null")
     user_labels = manifest["user_labels"] or [str(u) for u in range(m)]
     item_labels = manifest["item_labels"] or [str(i) for i in range(n)]
     u_map = {lab: idx for idx, lab in enumerate(user_labels)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class TrainConfig:
     propensity_grad_through: bool = False
     init_scale: float = 0.01
     pop_exponent: float = 0.5
-    # Alternate the joint objective across steps (odd steps update
-    # embeddings, even steps projections) instead of the default
-    # single-pass update of both per batch.
-    alternating: bool = False
 
     def validate(self) -> "TrainConfig":
         if self.objective not in OBJECTIVES:
@@ -172,11 +168,11 @@ class Adam:
 
 @dataclass
 class TrainState:
+    """Parameters and optimizer; opt.t counts the steps taken."""
+
     model: EmbeddingTable
     projections: ProjectionPair
     opt: Adam
-    step: int = 0
-    seed: int = 0
 
 
 @dataclass
@@ -222,7 +218,7 @@ def init_state(m: int, n: int, config: TrainConfig) -> TrainState:
         "m_item": (config.d, config.d),
     }
     opt = Adam(shapes, lr=config.lr, weight_decay=config.weight_decay)
-    return TrainState(model, projections, opt, step=0, seed=config.seed)
+    return TrainState(model, projections, opt)
 
 
 def _check_finite_grads(grads: dict, step: int) -> None:
@@ -307,15 +303,7 @@ def train_step(
     # so their moments still decay (dense-Adam semantics).
     grads["user_vecs"] = (uids, g_user)
     grads["item_vecs"] = (iids, g_item)
-
-    if config.objective == "uctrl" and config.alternating:
-        if (state.opt.t + 1) % 2 == 1:  # odd steps train the embeddings
-            grads.pop("m_user", None)
-            grads.pop("m_item", None)
-        else:  # even steps train the projections
-            grads.pop("user_vecs")
-            grads.pop("item_vecs")
-    _check_finite_grads(grads, state.step + 1)
+    _check_finite_grads(grads, state.opt.t + 1)
 
     params = {
         "user_vecs": model.user_vecs,
@@ -324,12 +312,11 @@ def train_step(
         "m_item": proj.m_item,
     }
     updated = state.opt.step(params, grads)
-    state.step = state.opt.t
     if debug_enabled():
         for name, value in updated.items():
             if not np.isfinite(value).all():
                 raise NumericalError(
-                    f"non-finite values in tensor {name!r} after step {state.step}"
+                    f"non-finite values in tensor {name!r} after step {state.opt.t}"
                 )
 
     total = main_terms.total + (relation_terms.total if relation_terms else 0.0)
@@ -451,7 +438,3 @@ def train(
         best_model = state.model.copy()
         best_proj = state.projections.copy()
     return TrainResult(state, best_model, best_proj, best_epoch, best_metric, history)
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)

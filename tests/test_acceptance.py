@@ -21,6 +21,7 @@ from conftest import (
     max_relative_error,
     random_interaction_set,
     unit_inverse_weights,
+    user_items,
 )
 
 
@@ -335,9 +336,9 @@ def test_criterion_5_metric_oracles():
         k = int(rng.integers(1, 30))
 
         rep = evaluation.evaluate_topk(model, train_set, test_set, k=k)
-        tr = {u: set(map(int, train_set.by_user[u])) for u in range(m)}
-        te = {u: set(map(int, test_set.by_user[u])) for u in range(m)
-              if len(test_set.by_user[u])}
+        tr = {u: set(map(int, user_items(train_set, u))) for u in range(m)}
+        te = {u: set(map(int, user_items(test_set, u))) for u in range(m)
+              if len(user_items(test_set, u))}
         recall, ndcg, _ = brute_force_topk(
             model.user_vecs.astype(np.float64),
             model.item_vecs.astype(np.float64), tr, te, k,

@@ -7,6 +7,23 @@ import pytest
 from debias_cf.cli import main
 
 
+def synth_split(tmp_path, name="split"):
+    out = tmp_path / name
+    assert main([
+        "synth", "--m", "20", "--n", "30", "--seed", "3",
+        "--out-dir", str(out), "--quiet",
+    ]) == 0
+    return out
+
+
+def write_log(tmp_path):
+    log = tmp_path / "log.tsv"
+    log.write_text("".join(
+        f"u{u}\ti{(u * 7 + k) % 12}\n" for u in range(10) for k in range(4)
+    ))
+    return log
+
+
 def run_pipeline(tmp_path, extra_train=()):
     out = tmp_path / "run"
     assert main([
@@ -127,6 +144,41 @@ class TestErrors:
     def test_missing_data_for_split(self, tmp_path):
         assert main(["split", "--out-dir", str(tmp_path), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("corruption", [
+        "not-json", "not-an-object", "missing-m", "missing-item-labels",
+        "m-not-an-integer", "labels-not-a-list", "train-not-utf8",
+    ])
+    def test_malformed_split_is_data_error(self, tmp_path, corruption):
+        split = synth_split(tmp_path)
+        manifest_path = split / "split-manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if corruption == "not-json":
+            manifest_path.write_text(manifest_path.read_text()[:-20])
+        elif corruption == "not-an-object":
+            manifest_path.write_text(json.dumps([manifest["m"], manifest["n"]]))
+        elif corruption == "train-not-utf8":
+            (split / "train.tsv").write_bytes(b"0\t1\n\xff\t2\n")
+        else:
+            if corruption == "m-not-an-integer":
+                manifest["m"] = "twenty"
+            elif corruption == "labels-not-a-list":
+                manifest["user_labels"] = 20
+            else:
+                del manifest[corruption.removeprefix("missing-").replace("-", "_")]
+            manifest_path.write_text(json.dumps(manifest))
+        assert main([
+            "train", "--data-dir", str(split), "--out-dir", str(tmp_path / "run"),
+            "--d", "4", "--epochs", "1", "--quiet",
+        ]) == 2
+
+    def test_log_not_utf8_is_data_error(self, tmp_path, capsys):
+        log = write_log(tmp_path)
+        log.write_bytes(log.read_bytes() + b"u1\t\xff\n")
+        assert main([
+            "split", "--data", str(log), "--out-dir", str(tmp_path / "o"), "--quiet",
+        ]) == 2
+        assert str(log) in capsys.readouterr().err
+
     def test_missing_split_dir_is_data_error(self, tmp_path):
         assert main([
             "train", "--data-dir", str(tmp_path / "nope"),
@@ -217,10 +269,41 @@ class TestConfigFile:
         assert resolved["n"] == 25       # file beats default
         assert resolved["skew"] == 0.5
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command,key", [("synth", "warp"), ("train", "alternating")])
+    def test_unknown_config_key_rejected(self, tmp_path, command, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"warp": 9}))
-        assert main(["synth", "--config", str(cfg), "--quiet"]) == 1
+        cfg.write_text(json.dumps({key: True}))
+        assert main([
+            command, "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+            *(["--data-dir", str(tmp_path / "nope")] if command == "train" else []),
+            "--quiet",
+        ]) == 1
+
+    @pytest.mark.parametrize("command,key,bad,good", [
+        ("split", "lenient", "false", False),  # bool default: JSON bool only
+        ("split", "seed", 1.5, 3),  # int default: JSON integer only
+        ("split", "seed", True, 3),
+        ("split", "out_dir", 5, "elsewhere"),  # str default: string
+        ("split", "data", 5, None),  # None default: string or null
+        ("synth", "skew", True, 1),  # float default: integer or float
+        ("train", "d", True, 4),
+        ("train", "lr", "0.01", 1),
+        ("train", "seed", 1.5, 2),
+    ])
+    def test_value_must_have_the_flags_type(self, tmp_path, command, key, bad, good):
+        args = {
+            "split": ["--data", str(write_log(tmp_path))],
+            "synth": ["--m", "20", "--n", "30"],
+            "train": ["--data-dir", str(synth_split(tmp_path)), "--d", "4",
+                      "--epochs", "1"],
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        for value, code in ((bad, 1), (good, 0)):
+            cfg.write_text(json.dumps({key: value}))
+            assert main([
+                command, "--config", str(cfg), *args,
+                "--out-dir", str(tmp_path / "o"), "--quiet",
+            ]) == code, value
 
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "nope.json")]) == 2

@@ -54,14 +54,14 @@ class TestInteractionSet:
             dm.InteractionSet(2, 2, np.array([[0, 1], [0, 1]]))
 
     def test_by_user_by_item_are_transposes(self, rng):
-        from conftest import random_interaction_set
+        from conftest import item_users, random_interaction_set, user_items
 
         iset = random_interaction_set(rng)
         rebuilt = {
-            (u, int(i)) for u in range(iset.m) for i in iset.by_user[u]
+            (u, int(i)) for u in range(iset.m) for i in user_items(iset, u)
         }
         rebuilt_t = {
-            (int(u), i) for i in range(iset.n) for u in iset.by_item[i]
+            (int(u), i) for i in range(iset.n) for u in item_users(iset, i)
         }
         assert rebuilt == rebuilt_t == iset.pair_set()
 
@@ -78,7 +78,7 @@ class TestInteractionSet:
     )
     @example(m=1, n=25, density=0.0, data_seed=0)
     def test_index_matches_scan_oracle(self, m, n, density, data_seed):
-        from conftest import oracle_index
+        from conftest import item_users, oracle_index, user_items
 
         grid = np.random.default_rng(data_seed).random((m, n)) < density
         if density == 0.0:
@@ -88,21 +88,15 @@ class TestInteractionSet:
             pairs = np.argwhere(grid)[np.random.default_rng(data_seed).permutation(grid.sum())]
             iset = dm.InteractionSet(m, n, pairs)
         by_user, by_item, user_counts, item_counts = oracle_index(iset)
-        assert len(iset.by_user) == m and len(iset.by_item) == n
-        for got, want in zip(iset.by_user + iset.by_item, by_user + by_item):
+        assert len(iset.user_ptr) == m + 1 and len(iset.item_ptr) == n + 1
+        got_ranges = [user_items(iset, u) for u in range(m)]
+        got_ranges += [item_users(iset, i) for i in range(n)]
+        for got, want in zip(got_ranges, by_user + by_item, strict=True):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
         for got, want in ((iset.user_counts(), user_counts), (iset.item_counts(), item_counts)):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
-
-    def test_index_views_are_read_only(self):
-        iset = dm.InteractionSet(2, 3, np.array([[0, 1], [1, 0], [1, 2]]))
-        with pytest.raises(ValueError):
-            iset.by_user[0][0] = 2
-        with pytest.raises(ValueError):
-            iset.by_item[0][0] = 0
-        assert iset.pairs.tolist() == [[0, 1], [1, 0], [1, 2]]
 
 
 def _full_set(m, n):

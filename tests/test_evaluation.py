@@ -8,7 +8,7 @@ from debias_cf import evaluation as ev
 from debias_cf.data import InteractionSet
 from debias_cf.embedding import EmbeddingTable, normalize_rows
 from debias_cf.errors import DataError
-from conftest import brute_force_topk, random_interaction_set
+from conftest import brute_force_topk, random_interaction_set, user_items
 
 
 def model_from(user_vecs, item_vecs):
@@ -30,7 +30,7 @@ def overlapping_mask(rng, train, k):
     m, n = train.m, train.n
     grid = rng.random((m, n)) < 0.2
     grid[tuple(train.pairs[0])] = True
-    open_items = np.setdiff1d(np.arange(n), train.by_user[0])
+    open_items = np.setdiff1d(np.arange(n), user_items(train, 0))
     keep = rng.choice(open_items, size=int(rng.integers(1, min(k, len(open_items) + 1))),
                       replace=False)
     grid[0] = True
@@ -97,13 +97,13 @@ class TestEvaluateTopk:
             else:
                 model = model_from(rng.normal(size=(m, 6)), rng.normal(size=(n, 6)))
             train = random_interaction_set(rng, m, n, density=0.2)
-            masked = {u: set(map(int, train.by_user[u])) for u in range(m)}
+            masked = {u: set(map(int, user_items(train, u))) for u in range(m)}
             extra = None
             if ties:
                 k = int(rng.integers(2, n + 6))
                 extra, short_item = overlapping_mask(rng, train, k)
                 for u in range(m):
-                    masked[u] |= set(map(int, extra.by_user[u]))
+                    masked[u] |= set(map(int, user_items(extra, u)))
                 assert n - len(masked[0]) < k  # user 0's list is short
             # test pairs disjoint from the masked ones
             free = np.array(
@@ -120,9 +120,9 @@ class TestEvaluateTopk:
             test = InteractionSet(m, n, test_pairs)
             report = ev.evaluate_topk(model, train, test, k=k, mask_extra=extra)
             test_by_user = {
-                u: set(map(int, test.by_user[u]))
+                u: set(map(int, user_items(test, u)))
                 for u in range(m)
-                if len(test.by_user[u])
+                if len(user_items(test, u))
             }
             recall, ndcg, _ = brute_force_topk(
                 model.user_vecs.astype(np.float64),

@@ -1,6 +1,8 @@
 """The package's public surface, and the functions the benchmark's traced
 run wraps, stay where their users look for them."""
 
+import argparse
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -8,6 +10,7 @@ import sys
 from pathlib import Path
 
 import debias_cf
+from debias_cf.cli import build_parser
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,6 +39,44 @@ def test_all_is_the_public_set_and_resolves():
     assert len(debias_cf.__all__) == len(PUBLIC)
     for name in PUBLIC:
         assert getattr(debias_cf, name) is not None
+
+
+#: TrainConfig's fields, in order: every training knob, each also a train
+#: option. A knob that no run needs should not be added here.
+TRAIN_CONFIG_FIELDS = (
+    "objective",
+    "d",
+    "gamma",
+    "lambda_rel",
+    "mu",
+    "lr",
+    "weight_decay",
+    "batch_size",
+    "epochs",
+    "seed",
+    "eval_every",
+    "scoring",
+    "propensity_grad_through",
+    "init_scale",
+    "pop_exponent",
+)
+
+#: The train subcommand's options that are not TrainConfig fields.
+TRAIN_CLI_ONLY = {"data_dir", "dump_propensities", "out_dir", "config", "quiet"}
+
+
+def test_train_config_fields_are_pinned():
+    names = tuple(f.name for f in dataclasses.fields(debias_cf.TrainConfig))
+    assert names == TRAIN_CONFIG_FIELDS
+
+
+def test_train_options_are_the_config_fields_and_cli_keys():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    train = subparsers.choices["train"]
+    dests = {a.dest for a in train._actions if a.dest != "help"}
+    assert dests == set(TRAIN_CONFIG_FIELDS) | TRAIN_CLI_ONLY
 
 
 #: Arguments the tracer's counters read, by traced attribute.

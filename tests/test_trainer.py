@@ -128,7 +128,7 @@ class TestTrainStep:
         train_step(state, bundle.train.pairs[:8], config)
         assert np.array_equal(state.model.user_vecs, before_u)
         assert np.array_equal(state.projections.m_user, before_m)
-        assert state.step == 1
+        assert state.opt.t == 1
         assert state.opt.m["user_vecs"].any()
 
     def test_nan_gradient_aborts_with_diagnostic(self):
@@ -301,21 +301,6 @@ class TestTrainStep:
             state.projections.m_item, new_p["m_item"].astype(np.float32)
         )
 
-    def test_alternating_mode_alternates_parameter_sets(self):
-        _, bundle = toy_bundle(seed=5)
-        batch = bundle.train.pairs[:10]
-        config = small_config(objective="uctrl", alternating=True)
-        state = init_state(bundle.train.m, bundle.train.n, config)
-        u0 = state.model.user_vecs.copy()
-        m0 = state.projections.m_user.copy()
-        train_step(state, batch, config)  # odd step: embeddings only
-        assert not np.array_equal(state.model.user_vecs, u0)
-        assert np.array_equal(state.projections.m_user, m0)
-        u1 = state.model.user_vecs.copy()
-        train_step(state, batch, config)  # even step: projections only
-        assert np.array_equal(state.model.user_vecs, u1)
-        assert not np.array_equal(state.projections.m_user, m0)
-
 
 class TestTrajectoryEquality:
     def test_unit_weight_joint_matches_biased_embeddings(self, monkeypatch):
@@ -350,7 +335,7 @@ class TestTrain:
         expected = math.ceil(p / 8)
         if p % 8 == 1:
             expected -= 1
-        assert result.state.step == expected
+        assert result.state.opt.t == expected
 
     def test_losses_finite_on_smoke_world(self):
         _, bundle = toy_bundle(seed=4)
