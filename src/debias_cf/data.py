@@ -88,15 +88,18 @@ class InteractionSet:
         return InteractionSet(self.m, self.n, pairs, self.user_labels, self.item_labels)
 
 
+PROTOCOL_TAGS = ("synthetic_debiased", "preprovided")
+
+
 @dataclass
 class SplitBundle:
     train: InteractionSet
     validation: InteractionSet
     test: InteractionSet
-    protocol_tag: str  # "synthetic_debiased" or "preprovided"
+    protocol_tag: str  # one of PROTOCOL_TAGS
 
     def __post_init__(self):
-        if self.protocol_tag not in ("synthetic_debiased", "preprovided"):
+        if self.protocol_tag not in PROTOCOL_TAGS:
             raise ConfigError(f"unknown protocol tag {self.protocol_tag!r}")
 
 
@@ -387,6 +390,9 @@ def load_split(split_dir) -> SplitBundle:
     for key in ("user_labels", "item_labels"):
         if not isinstance(manifest[key], (list, type(None))):
             raise DataError(f"{manifest_path}: {key} must be a list or null")
+    protocol_tag = manifest.get("protocol_tag", "preprovided")
+    if protocol_tag not in PROTOCOL_TAGS:
+        raise DataError(f"{manifest_path}: unknown protocol tag {protocol_tag!r}")
     user_labels = manifest["user_labels"] or [str(u) for u in range(m)]
     item_labels = manifest["item_labels"] or [str(i) for i in range(n)]
     u_map = {lab: idx for idx, lab in enumerate(user_labels)}
@@ -399,7 +405,7 @@ def load_split(split_dir) -> SplitBundle:
         )
     return SplitBundle(
         sets["train"], sets["validation"], sets["test"],
-        protocol_tag=manifest.get("protocol_tag", "preprovided"),
+        protocol_tag=protocol_tag,
     )
 
 

@@ -42,6 +42,7 @@ from .embedding import (
 )
 from .errors import ConfigError, DataError
 from .propensity import project_rows
+from .util import both
 
 
 @dataclass
@@ -150,24 +151,29 @@ def ideal_alignment_loss(
 
 
 def _accumulate_side(
-    n_rows: int,
     inv: np.ndarray,
     pair_grads: np.ndarray,
-    rows_norm: np.ndarray,
+    unit: tuple[np.ndarray, np.ndarray, np.ndarray],
     coeff: float,
 ) -> tuple[np.ndarray, float]:
-    """Scatter per-pair alignment gradients onto unique rows and add the
-    uniformity gradient (rows are already one-per-entity). A side with
-    fewer than two distinct entities has no distinct pair and contributes
-    zero uniformity."""
+    """One side's gradient w.r.t. its raw rows and its uniformity value.
+
+    unit is the normalize_rows_full result of the side's rows, which are
+    one per entity. Scatters the per-pair alignment gradients onto the
+    rows, adds the uniformity gradient and applies the chain rule through
+    the normalization. A side with fewer than two distinct entities has no
+    distinct pair and contributes zero uniformity. Reads nothing of the
+    other side, so `both` may run the two sides at once.
+    """
+    rows_norm, norms, degenerate = unit
     grad = np.zeros_like(rows_norm)
     np.add.at(grad, inv, pair_grads)
     unif = 0.0
-    if n_rows >= 2:
+    if rows_norm.shape[0] >= 2:
         unif, g_unif = uniformity_value_grad(rows_norm)
         if coeff != 0.0:
             grad += (coeff / 2.0) * g_unif
-    return grad, unif
+    return normalize_rows_backward(rows_norm, norms, degenerate, grad), unif
 
 
 def dau_param_grads(
@@ -190,14 +196,14 @@ def dau_param_grads(
     """
     if unit is None:
         unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
-    (un, u_norms, u_deg), (it, i_norms, i_deg) = unit
-    pair_u = un[u_inv]
-    pair_i = it[i_inv]
-    align, g_pu, g_pi = alignment_value_grad(pair_u, pair_i, weights)
-    grad_un, uu = _accumulate_side(un.shape[0], u_inv, g_pu, un, gamma)
-    grad_it, ui = _accumulate_side(it.shape[0], i_inv, g_pi, it, gamma)
-    grad_user = normalize_rows_backward(un, u_norms, u_deg, grad_un)
-    grad_item = normalize_rows_backward(it, i_norms, i_deg, grad_it)
+    u_unit, i_unit = unit
+    un, it = u_unit[0], i_unit[0]
+    align, g_pu, g_pi = alignment_value_grad(un[u_inv], it[i_inv], weights)
+    (grad_user, uu), (grad_item, ui) = both(
+        lambda: _accumulate_side(u_inv, g_pu, u_unit, gamma),
+        lambda: _accumulate_side(i_inv, g_pi, i_unit, gamma),
+        min(len(un), len(it)),
+    )
     total = align + gamma * (uu + ui) / 2.0
     return LossTerms(align, uu, ui, total), grad_user, grad_item
 
@@ -243,12 +249,16 @@ def relation_param_grads(
     pu, pi = forward.proj_user_norm, forward.proj_item_norm
     ones = np.ones(len(u_inv), dtype=np.float64)
     align, g_ppu, g_ppi = alignment_value_grad(pu[u_inv], pi[i_inv], ones)
-    grad_pu, uu = _accumulate_side(pu.shape[0], u_inv, g_ppu, pu, lambda_rel)
-    grad_pi, ui = _accumulate_side(pi.shape[0], i_inv, g_ppi, pi, lambda_rel)
-    grad_zu = normalize_rows_backward(pu, forward.zu_norms, forward.zu_deg, grad_pu)
-    grad_zi = normalize_rows_backward(pi, forward.zi_norms, forward.zi_deg, grad_pi)
-    grad_mu = grad_zu.T @ base_user_norm
-    grad_mi = grad_zi.T @ base_item_norm
+
+    def side(inv, pair_grads, unit, base):
+        grad_z, unif = _accumulate_side(inv, pair_grads, unit, lambda_rel)
+        return grad_z.T @ base, unif
+
+    (grad_mu, uu), (grad_mi, ui) = both(
+        lambda: side(u_inv, g_ppu, (pu, forward.zu_norms, forward.zu_deg), base_user_norm),
+        lambda: side(i_inv, g_ppi, (pi, forward.zi_norms, forward.zi_deg), base_item_norm),
+        min(len(pu), len(pi)),
+    )
     total = align + lambda_rel * (uu + ui) / 2.0
     terms = LossTerms(align, uu, ui, total)
     return terms, grad_mu, grad_mi, forward

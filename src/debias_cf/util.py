@@ -1,8 +1,12 @@
-"""Small shared helpers: seeded RNG streams, sigmoid, debug toggle."""
+"""Small shared helpers: seeded RNG streams, sigmoid, debug toggle, and
+the two-sided runner that overlaps the user and item halves of a loss."""
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -32,3 +36,51 @@ def sigmoid(x):
 def debug_enabled() -> bool:
     """Extra invariant checks (finite params, normalized inputs) when set."""
     return os.environ.get("DEBIAS_CF_DEBUG", "") not in ("", "0")
+
+
+#: Fewest rows the smaller side of a `both` call needs before its second
+#: side goes to the worker thread; below it the hand-off costs more than
+#: the overlap saves.
+PARALLEL_MIN_ROWS = 256
+
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _side_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="debias-cf-side")
+        return _worker
+
+
+def both(first, second, rows: int):
+    """(first(), second()), with second() on the one worker thread while
+    first() runs on the caller's thread.
+
+    The two must not write anything the other reads, and second() must
+    not call both, whose one worker would then wait on itself. Both run
+    on the caller's thread, one after the other, when the process has
+    fewer than two usable CPUs or when rows, the smaller side's row count,
+    is below PARALLEL_MIN_ROWS. The worker runs in a copy of the caller's
+    context, so numpy's errstate carries over. An error is raised only
+    once neither side is still running; when both fail, first()'s error
+    wins.
+    """
+    if rows < PARALLEL_MIN_ROWS or usable_cpus() < 2:
+        return first(), second()
+    future = _side_worker().submit(contextvars.copy_context().run, second)
+    try:
+        a = first()
+    finally:
+        wait((future,))
+    return a, future.result()

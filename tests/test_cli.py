@@ -147,6 +147,7 @@ class TestErrors:
     @pytest.mark.parametrize("corruption", [
         "not-json", "not-an-object", "missing-m", "missing-item-labels",
         "m-not-an-integer", "labels-not-a-list", "train-not-utf8",
+        "unknown-protocol-tag",
     ])
     def test_malformed_split_is_data_error(self, tmp_path, corruption):
         split = synth_split(tmp_path)
@@ -163,6 +164,8 @@ class TestErrors:
                 manifest["m"] = "twenty"
             elif corruption == "labels-not-a-list":
                 manifest["user_labels"] = 20
+            elif corruption == "unknown-protocol-tag":
+                manifest["protocol_tag"] = "x"
             else:
                 del manifest[corruption.removeprefix("missing-").replace("-", "_")]
             manifest_path.write_text(json.dumps(manifest))

@@ -1,11 +1,12 @@
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import debias_cf as dc
-from debias_cf import losses, propensity, trainer
+from debias_cf import losses, propensity, trainer, util
 from debias_cf.data import InteractionSet, SplitBundle, generate_synthetic_world, sample_clicks, split_unbiased_protocol
 from debias_cf.embedding import normalize_rows
 from debias_cf.errors import ConfigError, NumericalError
@@ -391,3 +392,59 @@ class TestTrain:
             train(bundle, small_config(objective="magic"))
         with pytest.raises(ConfigError):
             train(bundle, small_config(batch_size=1))
+
+
+class TestConcurrentSides:
+    """Training is bit-identical whether the two sides of each loss term
+    run on the worker thread or one after the other on the caller's."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        # 1024-pair batches hold 272-288 distinct rows on the smaller side,
+        # 128-pair batches at most 110.
+        _, bundle = toy_bundle(seed=3, m=300, n=450)
+        return bundle
+
+    @pytest.mark.parametrize("batch_size, worker_used", [(1024, True), (128, False)])
+    @pytest.mark.parametrize("overrides", [
+        dict(objective="directau"),
+        dict(objective="uctrl"),
+        dict(objective="uctrl", propensity_grad_through=True),
+    ], ids=["directau", "uctrl", "uctrl-grad-through"])
+    def test_worker_on_and_off_train_identically(
+        self, bundle, monkeypatch, overrides, batch_size, worker_used
+    ):
+        config = small_config(d=8, epochs=2, seed=4, batch_size=batch_size, **overrides)
+        threads = set()
+        accumulate = losses._accumulate_side
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return accumulate(*args)
+
+        monkeypatch.setattr(losses, "_accumulate_side", recording)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            threads.clear()
+            results.append(train(bundle, config))
+            assert (len(threads) == 2) == (worker_used and cpus == 2)
+        serial, concurrent = results
+
+        def tensors(result):
+            state = result.state
+            yield from (state.model.user_vecs, state.model.item_vecs,
+                        state.projections.m_user, state.projections.m_item,
+                        result.best_model.user_vecs, result.best_model.item_vecs,
+                        result.best_projections.m_user, result.best_projections.m_item)
+            for name in sorted(state.opt.m):
+                yield state.opt.m[name]
+                yield state.opt.v[name]
+
+        for a, b in zip(tensors(serial), tensors(concurrent), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert serial.state.opt.t == concurrent.state.opt.t
+        assert (serial.best_epoch, serial.best_val_ndcg) == (
+            concurrent.best_epoch, concurrent.best_val_ndcg)
+        for a, b in zip(serial.history, concurrent.history, strict=True):
+            assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
