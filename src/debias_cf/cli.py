@@ -24,6 +24,7 @@ from . import data as data_mod
 from . import evaluation, trainer
 from .embedding import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
+from .util import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -151,14 +152,14 @@ def _write_resolved(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = {"command": command, **cfg}
-    with open(out_dir / name, "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / name) as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
 
 
 def _emit_report(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with atomic_write(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -234,7 +235,7 @@ def _cmd_train(cfg: dict) -> int:
     result = trainer.train(bundle, tcfg, world=world, quiet=cfg["quiet"])
     save_checkpoint(result.best_model, result.best_projections,
                     out_dir / "checkpoint.bin")
-    with open(out_dir / "train-log.jsonl", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "train-log.jsonl") as fh:
         for record in result.history:
             fh.write(json.dumps(record) + "\n")
     if cfg["dump_propensities"]:
@@ -243,7 +244,7 @@ def _cmd_train(cfg: dict) -> int:
             result.best_model, result.best_projections, pairs, tcfg.mu
         )
         users, items = bundle.train.labels()
-        with open(out_dir / "propensities.tsv", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "propensities.tsv") as fh:
             for (u, i), w in zip(pairs, omega):
                 fh.write(f"{users[u]}\t{items[i]}\t{w:.8f}\n")
     log.info(
@@ -267,10 +268,10 @@ def _cmd_eval(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload.pop("per_user", None)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "metrics.json") as fh:
         json.dump(payload, fh, indent=2)
     if cfg["per_user"] and report.per_user is not None:
-        with open(out_dir / "per-user.tsv", "w", encoding="utf-8") as fh:
+        with atomic_write(out_dir / "per-user.tsv") as fh:
             for user, recall, ndcg in report.per_user:
                 fh.write(f"{user}\t{recall:.8f}\t{ndcg:.8f}\n")
     _write_resolved(cfg, "eval", out_dir, "resolved-config.eval.json")
@@ -307,7 +308,7 @@ def _cmd_analyze(cfg: dict) -> int:
         )
     out_dir = Path(cfg["out_dir"] or run_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "group-alignment.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "group-alignment.json") as fh:
         json.dump(payload, fh, indent=2)
     _write_resolved(cfg, "analyze", out_dir, "resolved-config.analyze.json")
     _emit_report(payload, cfg["out"])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import rng_from, sigmoid
+from .util import atomic_write, rng_from, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -323,7 +323,7 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
 
 def _write_pairs_tsv(path: Path, iset: InteractionSet) -> None:
     users, items = iset.labels()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for u, i in iset.pairs:
             fh.write(f"{users[u]}\t{items[i]}\n")
 
@@ -346,7 +346,7 @@ def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
         "user_labels": ref.user_labels,
         "item_labels": ref.item_labels,
     }
-    with open(out / "split-manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "split-manifest.json") as fh:
         json.dump(manifest, fh, indent=2)
 
 
@@ -412,7 +412,7 @@ def load_split(split_dir) -> SplitBundle:
 def save_world(world: SyntheticWorld, path) -> None:
     """Binary world file: magic, version, dims, then the relevance and
     exposure matrices as row-major little-endian float32."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(WORLD_MAGIC)
         fh.write(struct.pack("<IQQ", WORLD_VERSION, world.m, world.n))
         fh.write(np.ascontiguousarray(world.relevance, dtype="<f4").tobytes())

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .util import atomic_write
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +169,7 @@ def save_checkpoint(model: EmbeddingTable, projections: ProjectionPair, path) ->
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IQQQ", CHECKPOINT_VERSION, model.m, model.n, model.d
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))
@@ -176,7 +177,8 @@ def save_checkpoint(model: EmbeddingTable, projections: ProjectionPair, path) ->
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, ProjectionPair]:
     """Read a checkpoint written by save_checkpoint; any structural damage
-    (bad magic, unknown version, truncation, CRC mismatch) raises DataError."""
+    (bad magic, unknown version, truncation, CRC mismatch) or a non-finite
+    value raises DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head_len = 4 + 4 + 3 * 8
@@ -200,6 +202,8 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, ProjectionPair]:
     for cnt in counts:
         mats.append(np.frombuffer(payload, dtype="<f4", count=cnt, offset=offset))
         offset += 4 * cnt
+    if not all(np.isfinite(mat).all() for mat in mats):
+        raise DataError(f"{path}: checkpoint holds non-finite values")
     user = mats[0].reshape(m, d).copy()
     item = mats[1].reshape(n, d).copy()
     m_user = mats[2].reshape(d, d).copy()

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import InteractionSet
 from .embedding import EmbeddingTable, normalize_rows
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .losses import pair_sq_dists
 
 log = logging.getLogger(__name__)
@@ -65,57 +65,74 @@ def _idcg_table(top: int) -> np.ndarray:
     return np.array(list(accumulate(gains, initial=0.0)))
 
 
-def _scatter(block: np.ndarray, pairs: InteractionSet, users: np.ndarray) -> None:
-    """Set block[r, i] for every pair (users[r], i), read from the CSR ranges."""
+def _cells(pairs: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block indices (r, i) of every pair (users[r], i), read from the CSR ranges."""
     start = pairs.user_ptr[users]
     lens = pairs.user_ptr[users + 1] - start
     pos = np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
-    block[np.repeat(np.arange(len(users)), lens), pairs.pairs[pos, 1]] = True
+    return np.repeat(np.arange(len(users)), lens), pairs.pairs[pos, 1]
 
 
 def _eval_users(
     users: np.ndarray,
     user_mat: np.ndarray,
-    item_mat: np.ndarray,
+    neg_items: np.ndarray,
     k: int,
     masks: list[InteractionSet],
     test: InteractionSet,
     idcg: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recall and NDCG for one block of users; NaN for a user left with no
-    unmasked candidate."""
-    n = item_mat.shape[0]
+    unmasked candidate. neg_items holds the negated item rows, so the
+    block's negated scores come out of one matmul; the scores are finite,
+    so a masked item is one scored +inf."""
+    n = neg_items.shape[0]
     top = min(k, n)
-    neg = -(user_mat @ item_mat.T)
-    masked = np.zeros(neg.shape, dtype=bool)
+    neg = user_mat @ neg_items.T
     for mask in masks:
-        _scatter(masked, mask, users)
-    neg[masked] = np.inf
-    n_candidates = n - masked.sum(axis=1)
+        neg[_cells(mask, users)] = np.inf
 
-    # Keep the items strictly better than the top-th value, then fill up
-    # with the lowest-id items tied with it; a stable sort of the kept ids
-    # then orders them as a stable sort of all n negated scores would.
-    kth = np.partition(neg, top - 1, axis=1)[:, top - 1 : top]
-    better = neg < kth
-    tied = neg == kth
-    need = top - better.sum(axis=1, keepdims=True)
-    keep = better | (tied & (np.cumsum(tied, axis=1) <= need))
-    ids = np.nonzero(keep)[1].reshape(len(users), top)
-    by_score = np.argsort(np.take_along_axis(neg, ids, axis=1), axis=1, kind="stable")
-    ranked = np.take_along_axis(ids, by_score, axis=1)
+    # The partition head holds the items strictly better than the top-th
+    # value kth plus some items tied with it. It is exact unless an item
+    # outside it also scores kth; only in such a row are the head's tied
+    # slots refilled with the lowest-id tied items. A stable sort of the
+    # ascending ids then orders them as a stable sort of all n would.
+    if top < n:
+        ids = np.argpartition(neg, top - 1, axis=1)[:, :top]
+        head_neg = np.take_along_axis(neg, ids, axis=1)
+        kth = head_neg[:, top - 1 :]
+        # Rows whose minimum outside the head equals kth; the head is restored.
+        np.put_along_axis(neg, ids, np.inf, axis=1)
+        rows = np.flatnonzero(neg.min(axis=1) == kth[:, 0])
+        np.put_along_axis(neg, ids, head_neg, axis=1)
+        if len(rows):
+            # Each such row's first `slots` tied positions, row-major.
+            head, free = ids[rows], head_neg[rows] == kth[rows]
+            slots = np.count_nonzero(free, axis=1)
+            tied = np.flatnonzero(neg == kth)
+            first = np.searchsorted(tied, rows * n)
+            pos = np.arange(slots.sum()) + np.repeat(first - np.cumsum(slots) + slots, slots)
+            head[free] = tied[pos] - np.repeat(rows * n, slots)
+            ids[rows] = head
+        ids.sort(axis=1)
+    else:
+        ids = np.broadcast_to(np.arange(n), neg.shape)
+    head_neg = np.take_along_axis(neg, ids, axis=1)
+    ranked = np.take_along_axis(ids, np.argsort(head_neg, axis=1, kind="stable"), axis=1)
+    # min(top, unmasked candidates): only masked items score +inf.
+    n_ranked = np.count_nonzero(head_neg < np.inf, axis=1)
 
     is_test = np.zeros(neg.shape, dtype=bool)
-    _scatter(is_test, test, users)
+    is_test[_cells(test, users)] = True
     hits = np.take_along_axis(is_test, ranked, axis=1)
-    hits &= np.arange(top) < np.minimum(k, n_candidates)[:, None]
+    hits &= np.arange(top) < n_ranked[:, None]
     n_test = test.user_ptr[users + 1] - test.user_ptr[users]
     gains = 1.0 / np.log2(np.arange(2, top + 2))
     # A sequential sum, as the rank-by-rank definition of DCG reads.
     dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)[:, -1]
     recall = hits.sum(axis=1) / n_test
     ndcg = dcg / idcg[np.minimum(k, n_test)]
-    out = n_candidates == 0
+    out = n_ranked == 0
     recall[out] = np.nan
     ndcg[out] = np.nan
     return recall, ndcg
@@ -141,7 +158,8 @@ def evaluate_topk(
 
     Users are ranked in blocks of _CHUNK: one matmul scores a block, the
     masked items are scattered in from the CSR ranges, and a partition
-    picks each row's top k.
+    picks each row's top k. A model with a non-finite embedding raises
+    NumericalError.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -152,12 +170,15 @@ def evaluate_topk(
     if (test.m, test.n) != (model.m, model.n):
         raise DataError("test set dimensions do not match the model")
 
+    if not (np.isfinite(model.user_vecs).all() and np.isfinite(model.item_vecs).all()):
+        raise NumericalError("model embeddings hold non-finite values")
+
     if scoring == "dot":
         user_mat = model.user_vecs.astype(np.float64)
-        item_mat = model.item_vecs.astype(np.float64)
+        neg_items = -model.item_vecs.astype(np.float64)
     else:
         user_mat = normalize_rows(model.user_vecs.astype(np.float64))
-        item_mat = normalize_rows(model.item_vecs.astype(np.float64))
+        neg_items = -normalize_rows(model.item_vecs.astype(np.float64))
 
     masks = [train] if mask_extra is None else [train, mask_extra]
     idcg = _idcg_table(min(k, model.n))
@@ -167,7 +188,7 @@ def evaluate_topk(
     for i in range(0, len(eval_users), _CHUNK):
         chunk = eval_users[i : i + _CHUNK]
         recalls[chunk], ndcgs[chunk] = _eval_users(
-            chunk, user_mat[chunk], item_mat, k, masks, test, idcg
+            chunk, user_mat[chunk], neg_items, k, masks, test, idcg
         )
 
     done = ~np.isnan(recalls)

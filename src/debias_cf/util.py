@@ -1,5 +1,6 @@
-"""Small shared helpers: seeded RNG streams, sigmoid, debug toggle, and
-the two-sided runner that overlaps the user and item halves of a loss."""
+"""Small shared helpers: seeded RNG streams, sigmoid, debug toggle,
+atomic artifact writes, and the two-sided runner that overlaps the user
+and item halves of a loss."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +39,30 @@ def sigmoid(x):
 def debug_enabled() -> bool:
     """Extra invariant checks (finite params, normalized inputs) when set."""
     return os.environ.get("DEBIAS_CF_DEBUG", "") not in ("", "0")
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside path for writing ("w" as UTF-8 text,
+    or "wb"). It replaces path only once the block ends without an error;
+    on an error it is removed and path keeps its previous contents. There
+    is no fsync: a reader never sees a half-written file, but a power loss
+    may lose the last write. A symlink is written through, and a path that
+    is not a regular file (a pipe or a terminal) is written directly."""
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 #: Fewest rows the smaller side of a `both` call needs before its second

@@ -76,6 +76,56 @@ def brute_force_topk(user_vecs, item_vecs, train_items, test_items, k):
     return float(np.mean(recalls)), float(np.mean(ndcgs)), per_user
 
 
+def _reference_scatter(block, pairs, users):
+    """Set block[r, i] for every pair (users[r], i), read from the CSR ranges."""
+    start = pairs.user_ptr[users]
+    lens = pairs.user_ptr[users + 1] - start
+    pos = np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
+    block[np.repeat(np.arange(len(users)), lens), pairs.pairs[pos, 1]] = True
+
+
+def reference_eval_users(users, user_mat, item_mat, k, masks, test, idcg):
+    """evaluation._eval_users before the partition-head ranking: a full-row
+    pass over the tie mask (cumsum, nonzero) picks every row's top k, and
+    masked items are scattered through a B x n mask. Takes the item rows
+    themselves, not their negation."""
+    n = item_mat.shape[0]
+    top = min(k, n)
+    neg = -(user_mat @ item_mat.T)
+    masked = np.zeros(neg.shape, dtype=bool)
+    for mask in masks:
+        _reference_scatter(masked, mask, users)
+    neg[masked] = np.inf
+    n_candidates = n - masked.sum(axis=1)
+
+    # Keep the items strictly better than the top-th value, then fill up
+    # with the lowest-id items tied with it; a stable sort of the kept ids
+    # then orders them as a stable sort of all n negated scores would.
+    kth = np.partition(neg, top - 1, axis=1)[:, top - 1 : top]
+    better = neg < kth
+    tied = neg == kth
+    need = top - better.sum(axis=1, keepdims=True)
+    keep = better | (tied & (np.cumsum(tied, axis=1) <= need))
+    ids = np.nonzero(keep)[1].reshape(len(users), top)
+    by_score = np.argsort(np.take_along_axis(neg, ids, axis=1), axis=1, kind="stable")
+    ranked = np.take_along_axis(ids, by_score, axis=1)
+
+    is_test = np.zeros(neg.shape, dtype=bool)
+    _reference_scatter(is_test, test, users)
+    hits = np.take_along_axis(is_test, ranked, axis=1)
+    hits &= np.arange(top) < np.minimum(k, n_candidates)[:, None]
+    n_test = test.user_ptr[users + 1] - test.user_ptr[users]
+    gains = 1.0 / np.log2(np.arange(2, top + 2))
+    # A sequential sum, as the rank-by-rank definition of DCG reads.
+    dcg = np.cumsum(np.where(hits, gains, 0.0), axis=1)[:, -1]
+    recall = hits.sum(axis=1) / n_test
+    ndcg = dcg / idcg[np.minimum(k, n_test)]
+    out = n_candidates == 0
+    recall[out] = np.nan
+    ndcg[out] = np.nan
+    return recall, ndcg
+
+
 def reference_uniformity_value_grad(vecs):
     """uniformity_value_grad unblocked: whole B x B temporaries, one
     expression per step."""

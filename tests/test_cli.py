@@ -135,6 +135,21 @@ class TestErrors:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    @pytest.mark.parametrize("tensor", ["user_vecs", "item_vecs"])
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, command, tensor):
+        from debias_cf.embedding import load_checkpoint, save_checkpoint
+
+        out = run_pipeline(tmp_path)
+        model, proj = load_checkpoint(out / "checkpoint.bin")
+        getattr(model, tensor)[0] = np.nan
+        save_checkpoint(model, proj, out / "checkpoint.bin")
+        assert main([
+            command, "--run-dir", str(out), "--data-dir", str(out),
+            "--out-dir", str(tmp_path / "report"), "--quiet",
+        ]) == 2
+        assert not (tmp_path / "report").exists()
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
 

@@ -179,3 +179,15 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="CRC"):
             em.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensor, value", [
+        ("user_vecs", np.nan), ("item_vecs", np.nan), ("item_vecs", -np.inf),
+        ("m_user", np.inf), ("m_item", np.nan),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, tensor, value):
+        model, proj = em.init_model(6, 7, 4, seed=5, scale=0.3)
+        getattr(model if tensor.endswith("vecs") else proj, tensor)[1, 2] = value
+        path = tmp_path / "ckpt.bin"
+        em.save_checkpoint(model, proj, path)  # the CRC covers the bad value
+        with pytest.raises(DataError, match="non-finite"):
+            em.load_checkpoint(path)

@@ -7,8 +7,13 @@ import pytest
 from debias_cf import evaluation as ev
 from debias_cf.data import InteractionSet
 from debias_cf.embedding import EmbeddingTable, normalize_rows
-from debias_cf.errors import DataError
-from conftest import brute_force_topk, random_interaction_set, user_items
+from debias_cf.errors import DataError, NumericalError
+from conftest import (
+    brute_force_topk,
+    random_interaction_set,
+    reference_eval_users,
+    user_items,
+)
 
 
 def model_from(user_vecs, item_vecs):
@@ -167,6 +172,73 @@ class TestEvaluateTopk:
         report = ev.evaluate_topk(model, train, test, k=3)
         assert report.ndcg_at_k == 1.0
         assert report.recall_at_k == 1.0
+
+
+def mixed_block_inputs(rng, m=48, n=300):
+    """Users of three kinds, interleaved: continuous scores (no tie at the
+    cut), integer scores (ties that cross the cut), and users with all but
+    a few items masked (fewer candidates than k, so +inf ties). Returns the
+    user rows, the item rows, the masks (overlapping) and the test set."""
+    kind = rng.permutation(np.arange(m) % 3)
+    items = np.hstack([rng.integers(-2, 3, (n, 2)), rng.normal(size=(n, 2))])
+    users = np.hstack([rng.integers(-2, 3, (m, 2)), rng.normal(size=(m, 2))])
+    users[kind == 1, 2:] = 0.0
+    grid = rng.random((m, n))
+    train = grid < 0.1
+    extra = (grid > 0.05) & (grid < 0.15)
+    extra[kind == 2] = True
+    keep = rng.random((m, n)) < 3.0 / n
+    extra[kind == 2] &= ~keep[kind == 2]
+    test = (grid > 0.6) & ~train & ~extra
+    test[kind == 2] |= keep[kind == 2] & ~train[kind == 2]
+    test[np.arange(m), rng.integers(0, n, m)] = True  # some masked held-out items
+    sets = [InteractionSet(m, n, np.argwhere(g)) for g in (train, extra, test)]
+    return users, items, sets[:2], sets[2]
+
+
+class TestEvalUsersMatchesReference:
+    """The partition-head ranking returns what the full-row tie pass of
+    reference_eval_users returns, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 5, 20, 150, 300, 400])
+    def test_bit_identical_on_mixed_blocks(self, rng, k):
+        crossing = short = plain = 0
+        for _ in range(5):
+            user_mat, item_mat, masks, test = mixed_block_inputs(rng)
+            n = len(item_mat)
+            top = min(k, n)
+            idcg = ev._idcg_table(top)
+            users = rng.permutation(np.flatnonzero(test.user_counts()))
+            got = ev._eval_users(users, user_mat[users], -item_mat, k, masks, test, idcg)
+            want = reference_eval_users(users, user_mat[users], item_mat, k, masks,
+                                        test, idcg)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True)
+            # The blocks hold every kind of row the ranking tells apart.
+            neg = -(user_mat[users] @ item_mat.T)
+            for mask in masks:
+                neg[ev._cells(mask, users)] = np.inf
+            kth = np.partition(neg, top - 1, axis=1)[:, top - 1 : top]
+            crosses = np.count_nonzero(neg <= kth, axis=1) > top
+            crossing += np.count_nonzero(crosses & np.isfinite(kth[:, 0]))
+            short += np.count_nonzero(np.isinf(kth[:, 0]))
+            plain += np.count_nonzero(~crosses)
+        assert short > 0
+        if k < n:
+            assert crossing > 0 and plain > 0
+
+
+class TestNonFiniteModel:
+    @pytest.mark.parametrize("side", ["user", "item"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_raises_numerical_error(self, rng, side, value):
+        user_vecs, item_vecs = rng.normal(size=(50, 20)), rng.normal(size=(49, 20))
+        (user_vecs if side == "user" else item_vecs)[3, 7] = value
+        model = model_from(user_vecs, item_vecs)
+        train = random_interaction_set(rng, 50, 49, density=0.1)
+        test = InteractionSet(50, 49, np.argwhere(rng.random((50, 49)) < 0.1))
+        with pytest.raises(NumericalError, match="non-finite"):
+            ev.evaluate_topk(model, train, test, k=20)
 
 
 class TestGroupAlignment:

@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from debias_cf import util
-from debias_cf.util import PARALLEL_MIN_ROWS, both
+from debias_cf.util import PARALLEL_MIN_ROWS, atomic_write, both
 
 WAIT_S = 5.0
 
@@ -80,3 +81,68 @@ class TestBoth:
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError):
                 both(lambda: None, divide, PARALLEL_MIN_ROWS)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("mode, old, new", [("w", "old\n", "new\n"),
+                                                ("wb", b"old", b"new")])
+    def test_replaces_the_file_on_success(self, tmp_path, mode, old, new):
+        path = tmp_path / "artifact"
+        with atomic_write(path, mode) as fh:
+            fh.write(old)
+        with atomic_write(path, mode) as fh:
+            fh.write(new)
+        assert (path.read_bytes() if "b" in mode else path.read_text()) == new
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_writer_that_raises_leaves_previous_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "artifact.tsv"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="part-way"):
+            with atomic_write(path) as fh:
+                fh.write("half of the new")
+                fh.flush()
+                raise RuntimeError("part-way")
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        with atomic_write(link) as fh:
+            fh.write("new")
+        assert link.is_symlink()
+        assert target.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_pipe_is_written_directly(self, tmp_path):
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+        reader.start()
+        with atomic_write(fifo) as fh:
+            fh.write("report\n")
+        reader.join(WAIT_S)
+        assert got == ["report\n"]
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    def test_failed_checkpoint_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        from debias_cf import embedding as em
+
+        model, proj = em.init_model(6, 7, 4, seed=5, scale=0.3)
+        path = tmp_path / "checkpoint.bin"
+        em.save_checkpoint(model, proj, path)
+        before = path.read_bytes()
+
+        def crc32(payload):  # computed after the header and payload are written
+            raise OSError("disk full")
+
+        monkeypatch.setattr(em.zlib, "crc32", crc32)
+        with pytest.raises(OSError, match="disk full"):
+            em.save_checkpoint(model.copy(), proj, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+
