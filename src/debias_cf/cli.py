@@ -127,8 +127,6 @@ def _effective_config(defaults: dict, ns: argparse.Namespace) -> dict:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except FileNotFoundError:
-            raise DataError(f"config file not found: {config_path}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
@@ -360,7 +358,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable input, or a directory
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

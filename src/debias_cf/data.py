@@ -114,6 +114,8 @@ class SyntheticWorld:
     exposure: np.ndarray  # (m, n) float32 in (0, 1]
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise DataError(f"world needs m >= 1 and n >= 1, got {self.m}x{self.n}")
         self.relevance = np.asarray(self.relevance, dtype=np.float32)
         self.exposure = np.asarray(self.exposure, dtype=np.float32)
         if self.relevance.shape != (self.m, self.n):

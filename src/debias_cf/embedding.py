@@ -189,6 +189,8 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, ProjectionPair]:
     version, m, n, d = struct.unpack("<IQQQ", raw[4:head_len])
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
+    if d < 1:
+        raise DataError(f"{path}: checkpoint embedding dimension is 0")
     counts = (m * d, n * d, d * d, d * d)
     payload_len = 4 * sum(counts)
     if len(raw) != head_len + payload_len + 4:

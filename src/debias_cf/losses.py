@@ -14,9 +14,9 @@ with weights 1/omega it is an inverse-propensity-weighted estimator whose
 expectation under the click model equals the relevance-weighted (ideal)
 alignment. Uniformity needs no reweighting.
 
-The same combination applied to relation-space projections of frozen base
-embeddings trains the projection matrices that produce learned
-propensities.
+The same combination, with unit weights, applied to relation-space
+projections of frozen base embeddings trains the projection matrices that
+produce learned propensities; dau_param_grads computes it in both spaces.
 
 Gradient conventions: the low-level kernels differentiate with respect to
 their normalized inputs; the parameter-gradient entry points used by the
@@ -177,22 +177,25 @@ def _accumulate_side(
 
 
 def dau_param_grads(
-    user_rows: np.ndarray,
-    item_rows: np.ndarray,
+    user_rows: np.ndarray | None,
+    item_rows: np.ndarray | None,
     u_inv: np.ndarray,
     i_inv: np.ndarray,
     weights: np.ndarray,
     gamma: float,
     unit: tuple[tuple, tuple] | None = None,
 ) -> tuple[LossTerms, np.ndarray, np.ndarray]:
-    """Objective value and gradients w.r.t. raw unique embedding rows.
+    """Objective value and gradients w.r.t. raw unique rows, in either
+    space: the CF embeddings (weights from the propensities, coefficient
+    gamma) or the relation-space projections (unit weights, coefficient
+    lambda_rel, called by relation_param_grads).
 
     user_rows/item_rows hold one raw row per distinct batch entity; u_inv
     and i_inv map each pair to its row. The returned gradients include the
     chain rule through L2 normalization. A caller that has already
     normalized the rows passes the two normalize_rows_full results as
     unit, so the rows are not normalized (and degenerate rows not logged)
-    a second time.
+    a second time; the rows arguments are then not read.
     """
     if unit is None:
         unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
@@ -244,24 +247,16 @@ def relation_param_grads(
     lambda_rel: float,
 ) -> tuple[LossTerms, np.ndarray, np.ndarray, RelationForward]:
     """Relation-space objective and gradients w.r.t. the projection
-    matrices only; the base normalized embeddings are constants here."""
+    matrices only; the base normalized embeddings are constants here. The
+    objective is dau_param_grads on the projected rows z = base @ M.T, so
+    dL/dM = grad_z.T @ base."""
     forward = relation_forward(base_user_norm, base_item_norm, m_user, m_item)
-    pu, pi = forward.proj_user_norm, forward.proj_item_norm
-    ones = np.ones(len(u_inv), dtype=np.float64)
-    align, g_ppu, g_ppi = alignment_value_grad(pu[u_inv], pi[i_inv], ones)
-
-    def side(inv, pair_grads, unit, base):
-        grad_z, unif = _accumulate_side(inv, pair_grads, unit, lambda_rel)
-        return grad_z.T @ base, unif
-
-    (grad_mu, uu), (grad_mi, ui) = both(
-        lambda: side(u_inv, g_ppu, (pu, forward.zu_norms, forward.zu_deg), base_user_norm),
-        lambda: side(i_inv, g_ppi, (pi, forward.zi_norms, forward.zi_deg), base_item_norm),
-        min(len(pu), len(pi)),
+    unit = ((forward.proj_user_norm, forward.zu_norms, forward.zu_deg),
+            (forward.proj_item_norm, forward.zi_norms, forward.zi_deg))
+    terms, grad_zu, grad_zi = dau_param_grads(
+        None, None, u_inv, i_inv, np.ones(len(u_inv)), lambda_rel, unit=unit
     )
-    total = align + lambda_rel * (uu + ui) / 2.0
-    terms = LossTerms(align, uu, ui, total)
-    return terms, grad_mu, grad_mi, forward
+    return terms, grad_zu.T @ base_user_norm, grad_zi.T @ base_item_norm, forward
 
 
 def ipw_through_projection_grads(

@@ -12,6 +12,7 @@ projection matrices through the propensity estimates.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -56,6 +57,10 @@ class TrainConfig:
     pop_exponent: float = 0.5
 
     def validate(self) -> "TrainConfig":
+        for name in ("lr", "gamma", "lambda_rel", "weight_decay", "init_scale",
+                     "pop_exponent"):  # NaN and inf slip past the range checks
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if self.d < 1:
@@ -176,13 +181,6 @@ class TrainState:
 
 
 @dataclass
-class StepTerms:
-    main: losses.LossTerms
-    relation: losses.LossTerms | None
-    total: float
-
-
-@dataclass
 class TrainResult:
     state: TrainState
     best_model: EmbeddingTable
@@ -237,8 +235,10 @@ def train_step(
     config: TrainConfig,
     world: SyntheticWorld | None = None,
     pop_table: np.ndarray | None = None,
-) -> StepTerms:
-    """One optimizer step on one batch of positive pairs. Mutates state."""
+) -> dict[str, float]:
+    """One optimizer step on one batch of positive pairs. Mutates state
+    and returns the batch's train-log values: the main terms, the relation
+    terms (zero without a relation term) and their summed total."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     model, proj = state.model, state.projections
     uids, u_inv = np.unique(pairs[:, 0], return_inverse=True)
@@ -247,12 +247,12 @@ def train_step(
     item_rows = model.item_vecs[iids].astype(np.float64)
     unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
 
-    relation_terms = None
+    rel = losses.LossTerms(0.0, 0.0, 0.0, 0.0)  # no relation term
     grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
     omega_raw = None
     if config.objective == "uctrl":
         base_u_norm, base_i_norm = unit[0][0], unit[1][0]
-        relation_terms, g_mu, g_mi, forward = losses.relation_param_grads(
+        rel, g_mu, g_mi, forward = losses.relation_param_grads(
             base_u_norm,
             base_i_norm,
             u_inv,
@@ -319,8 +319,14 @@ def train_step(
                     f"non-finite values in tensor {name!r} after step {state.opt.t}"
                 )
 
-    total = main_terms.total + (relation_terms.total if relation_terms else 0.0)
-    return StepTerms(main_terms, relation_terms, total)
+    return {
+        "align": main_terms.align,
+        "uniform_user": main_terms.uniform_user,
+        "uniform_item": main_terms.uniform_item,
+        "relation_align": rel.align,
+        "relation_uniform": (rel.uniform_user + rel.uniform_item) / 2.0,
+        "total": main_terms.total + rel.total,
+    }
 
 
 def learned_propensities(
@@ -382,32 +388,16 @@ def train(
 
     best_metric = None
     best_epoch = None
-    best_model = state.model.copy()
-    best_proj = state.projections.copy()
     history: list[dict] = []
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        sums = {
-            "align": 0.0,
-            "uniform_user": 0.0,
-            "uniform_item": 0.0,
-            "relation_align": 0.0,
-            "relation_uniform": 0.0,
-            "total": 0.0,
-        }
+        sums: dict[str, float] = {}
         batches = make_batches(train_set, config.batch_size, config.seed, epoch)
         for batch_pairs in batches:
-            terms = train_step(state, batch_pairs, config, world, pop_table)
-            sums["align"] += terms.main.align
-            sums["uniform_user"] += terms.main.uniform_user
-            sums["uniform_item"] += terms.main.uniform_item
-            if terms.relation is not None:
-                sums["relation_align"] += terms.relation.align
-                sums["relation_uniform"] += (
-                    terms.relation.uniform_user + terms.relation.uniform_item
-                ) / 2.0
-            sums["total"] += terms.total
+            step = train_step(state, batch_pairs, config, world, pop_table)
+            for key, value in step.items():
+                sums[key] = sums.get(key, 0.0) + value
         record = {k: v / len(batches) for k, v in sums.items()}
         record["epoch"] = epoch
 

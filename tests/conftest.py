@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from debias_cf.data import InteractionSet
-from debias_cf.util import rng_from
+from debias_cf.losses import (
+    LossTerms,
+    _accumulate_side,
+    alignment_value_grad,
+    relation_forward,
+)
+from debias_cf.util import both, rng_from
 
 
 def central_difference(f, arr, h=1e-5):
@@ -140,6 +146,31 @@ def reference_uniformity_value_grad(vecs):
     value = float(math.log(total / (b * (b - 1))))
     grad = (-8.0 / total) * (kernel.sum(axis=1)[:, None] * vecs - kernel @ vecs)
     return value, grad
+
+
+def reference_relation_param_grads(
+    base_user_norm, base_item_norm, u_inv, i_inv, m_user, m_item, lambda_rel
+):
+    """relation_param_grads with its own contrastive combination: its own
+    alignment call, and each side's uniformity, chain rule and projection
+    product run together through `both`."""
+    forward = relation_forward(base_user_norm, base_item_norm, m_user, m_item)
+    pu, pi = forward.proj_user_norm, forward.proj_item_norm
+    ones = np.ones(len(u_inv), dtype=np.float64)
+    align, g_ppu, g_ppi = alignment_value_grad(pu[u_inv], pi[i_inv], ones)
+
+    def side(inv, pair_grads, unit, base):
+        grad_z, unif = _accumulate_side(inv, pair_grads, unit, lambda_rel)
+        return grad_z.T @ base, unif
+
+    (grad_mu, uu), (grad_mi, ui) = both(
+        lambda: side(u_inv, g_ppu, (pu, forward.zu_norms, forward.zu_deg), base_user_norm),
+        lambda: side(i_inv, g_ppi, (pi, forward.zi_norms, forward.zi_deg), base_item_norm),
+        min(len(pu), len(pi)),
+    )
+    total = align + lambda_rel * (uu + ui) / 2.0
+    terms = LossTerms(align, uu, ui, total)
+    return terms, grad_mu, grad_mi, forward
 
 
 def reference_adam_step(opt, params, grads):

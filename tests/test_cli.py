@@ -1,5 +1,6 @@
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -149,6 +150,39 @@ class TestErrors:
             "--out-dir", str(tmp_path / "report"), "--quiet",
         ]) == 2
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_zero_dimension_checkpoint_is_data_error(self, tmp_path, command):
+        from debias_cf.embedding import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+
+        out = run_pipeline(tmp_path)
+        header = CHECKPOINT_MAGIC + struct.pack("<IQQQ", CHECKPOINT_VERSION, 40, 60, 0)
+        (out / "checkpoint.bin").write_bytes(header + struct.pack("<I", zlib.crc32(b"")))
+        assert main([
+            command, "--run-dir", str(out), "--data-dir", str(out),
+            "--out-dir", str(tmp_path / "report"), "--quiet",
+        ]) == 2
+
+    @pytest.mark.parametrize("m, n", [(0, 60), (40, 0)])
+    def test_empty_world_is_data_error(self, tmp_path, m, n):
+        from debias_cf.data import WORLD_MAGIC, WORLD_VERSION
+
+        out = run_pipeline(tmp_path)
+        world = tmp_path / "empty-world.bin"
+        world.write_bytes(WORLD_MAGIC + struct.pack("<IQQ", WORLD_VERSION, m, n))
+        assert main([
+            "analyze", "--run-dir", str(out), "--data-dir", str(out),
+            "--world", str(world), "--quiet",
+        ]) == 2
+
+    @pytest.mark.parametrize("command", ["train --config", "split --data"])
+    def test_directory_as_input_file_is_data_error(self, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main([
+            *command.split(), str(folder), "--out-dir", str(tmp_path / "o"), "--quiet",
+        ]) == 2
+        assert str(folder) in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1

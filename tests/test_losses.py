@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from debias_cf import losses
+from debias_cf import losses, util
 from debias_cf.data import (
     InteractionSet,
     SyntheticWorld,
@@ -19,6 +21,7 @@ from conftest import (
     brute_force_uniformity,
     central_difference,
     max_relative_error,
+    reference_relation_param_grads,
     reference_uniformity_value_grad,
 )
 
@@ -292,6 +295,47 @@ class TestRelationSpace:
         assert terms_rel.align == terms_dau.align
         assert terms_rel.total == terms_dau.total
 
+    @pytest.mark.parametrize("rows", [(5, 7), (util.PARALLEL_MIN_ROWS + 9,
+                                               util.PARALLEL_MIN_ROWS + 40)],
+                             ids=["serial", "worker"])
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["no-zero-row", "zero-row"])
+    @pytest.mark.parametrize("lambda_rel", [1.3, 0.0])
+    def test_bit_identical_to_reference(
+        self, rng, monkeypatch, rows, zero_row, lambda_rel
+    ):
+        # One dau_param_grads call on the projected rows gives the terms,
+        # gradients and forward of the term's own former implementation,
+        # with the two sides one after the other or on two threads.
+        n_u, n_i = rows
+        d, b = 8, 2 * max(rows)
+        u_inv = rng.permutation(np.r_[np.arange(n_u), rng.integers(0, n_u, b - n_u)])
+        i_inv = rng.permutation(np.r_[np.arange(n_i), rng.integers(0, n_i, b - n_i)])
+        base_u = normalize_rows(rng.normal(size=(n_u, d)))
+        base_i = normalize_rows(rng.normal(size=(n_i, d)))
+        if zero_row:
+            base_u[1] = 0.0  # its projection is a degenerate row
+        m_user = np.eye(d) + 0.2 * rng.normal(size=(d, d))
+        m_item = np.eye(d) + 0.2 * rng.normal(size=(d, d))
+        args = (base_u, base_i, u_inv, i_inv, m_user, m_item, lambda_rel)
+
+        threads = set()
+        accumulate = losses._accumulate_side
+
+        def recording(*a):
+            threads.add(threading.current_thread())
+            return accumulate(*a)
+
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(losses, "_accumulate_side", recording)
+        terms, g_mu, g_mi, forward = losses.relation_param_grads(*args)
+        assert len(threads) == (2 if min(rows) >= util.PARALLEL_MIN_ROWS else 1)
+        want_terms, want_mu, want_mi, want_forward = reference_relation_param_grads(*args)
+        assert terms == want_terms
+        assert np.array_equal(g_mu, want_mu) and np.array_equal(g_mi, want_mi)
+        for f in dataclasses.fields(forward):
+            assert np.array_equal(getattr(forward, f.name), getattr(want_forward, f.name))
+        assert forward.zu_deg.any() == zero_row
+
     def test_lambda_zero_is_alignment_only(self, rng):
         terms = relation_terms(make_batch(rng), lambda_rel=0.0)
         assert terms.total == terms.align
@@ -339,10 +383,15 @@ class TestJointObjective:
         bundle = split_unbiased_protocol(sample_clicks(world, 4), 0.2, 0.2, seed=4)
         config = TrainConfig(objective="uctrl", d=4, gamma=0.5, lambda_rel=1.5, seed=2)
         state = init_state(bundle.train.m, bundle.train.n, config)
-        terms = train_step(state, bundle.train.pairs[:6], config)
-        assert terms.total == pytest.approx(
-            terms.main.total + terms.relation.total, abs=1e-12
+        record = train_step(state, bundle.train.pairs[:6], config)
+        main_total = record["align"] + config.gamma * (
+            record["uniform_user"] + record["uniform_item"]
+        ) / 2
+        relation_total = (
+            record["relation_align"] + config.lambda_rel * record["relation_uniform"]
         )
+        assert record["relation_align"] > 0.0
+        assert record["total"] == pytest.approx(main_total + relation_total, abs=1e-12)
 
     def test_param_grads_match_finite_differences(self, rng):
         # Raw-row gradients through normalization for the weighted form.

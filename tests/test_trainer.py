@@ -219,9 +219,9 @@ class TestTrainStep:
         world, bundle = toy_bundle(seed=2)
         config = small_config(objective="ipw_align_oracle")
         state = init_state(bundle.train.m, bundle.train.n, config)
-        terms = train_step(state, bundle.train.pairs[:8], config, world=world)
-        assert terms.relation is None
-        assert math.isfinite(terms.total)
+        record = train_step(state, bundle.train.pairs[:8], config, world=world)
+        assert record["relation_align"] == record["relation_uniform"] == 0.0
+        assert math.isfinite(record["total"])
         with pytest.raises(ConfigError):
             train_step(state, bundle.train.pairs[:8], config)
 
@@ -392,6 +392,14 @@ class TestTrain:
             train(bundle, small_config(objective="magic"))
         with pytest.raises(ConfigError):
             train(bundle, small_config(batch_size=1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        "lr", "gamma", "lambda_rel", "weight_decay", "init_scale", "pop_exponent",
+    ])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            small_config(**{name: value}).validate()
 
 
 class TestConcurrentSides:
