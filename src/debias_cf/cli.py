@@ -7,8 +7,8 @@ configuration is echoed to resolved-config.json in the output directory;
 eval and analyze write resolved-config.<command>.json instead, so they
 never overwrite the snapshot of the run they read.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure.
+Exit codes: 0 success, 1 usage or configuration error (including an
+output directory that cannot be created), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,26 +30,18 @@ log = logging.getLogger(__name__)
 
 DEFAULT_OUT_DIR = "debias-cf-out"
 
-_SPLIT_DEFAULTS = {
-    "data": None,
+# split and synth share the split options and the path that applies them.
+_SPLIT_OPTIONS = {
     "test_frac": 0.1,
     "valid_frac": 0.1,
     "seed": 0,
     "sampling": "per_item",
-    "lenient": False,
     "out_dir": DEFAULT_OUT_DIR,
 }
 
-_SYNTH_DEFAULTS = {
-    "m": 200,
-    "n": 300,
-    "skew": 1.0,
-    "seed": 0,
-    "test_frac": 0.1,
-    "valid_frac": 0.1,
-    "sampling": "per_item",
-    "out_dir": DEFAULT_OUT_DIR,
-}
+_SPLIT_DEFAULTS = {"data": None, "lenient": False, **_SPLIT_OPTIONS}
+
+_SYNTH_DEFAULTS = {"m": 200, "n": 300, "skew": 1.0, **_SPLIT_OPTIONS}
 
 # The training keys and defaults are TrainConfig's; the rest are CLI-only.
 _TRAIN_DEFAULTS = {
@@ -59,26 +51,19 @@ _TRAIN_DEFAULTS = {
     "out_dir": DEFAULT_OUT_DIR,
 }
 
-_EVAL_DEFAULTS = {
+# eval and analyze read a run and a split and write one report.
+_REPORT_OPTIONS = {
     "run_dir": DEFAULT_OUT_DIR,
     "data_dir": DEFAULT_OUT_DIR,
-    "k": 20,
-    "scoring": "dot",
-    "mask_validation": True,
-    "per_user": False,
-    "out": None,
     "out_dir": None,  # defaults to run_dir
 }
 
-_ANALYZE_DEFAULTS = {
-    "run_dir": DEFAULT_OUT_DIR,
-    "data_dir": DEFAULT_OUT_DIR,
-    "ratio": 0.2,
-    "pairs": "train",
-    "world": None,
-    "out": None,
-    "out_dir": None,  # defaults to run_dir
+_EVAL_DEFAULTS = {
+    **_REPORT_OPTIONS, "k": 20, "scoring": "dot", "mask_validation": True,
+    "per_user": False,
 }
+
+_ANALYZE_DEFAULTS = {**_REPORT_OPTIONS, "ratio": 0.2, "pairs": "train", "world": None}
 
 
 #: JSON types a config-file value may take, by the type of the key's default.
@@ -145,38 +130,45 @@ def _effective_config(defaults: dict, ns: argparse.Namespace) -> dict:
     return effective
 
 
+def _out_dir(path) -> Path:
+    """Create an output directory; one that cannot be made is a usage error."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}")
+    return out_dir
+
+
 def _write_resolved(
     cfg: dict, command: str, out_dir: Path, name: str = "resolved-config.json"
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = {"command": command, **cfg}
     with atomic_write(out_dir / name) as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
 
 
-def _emit_report(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with atomic_write(out) as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _save_split(cfg: dict, command: str, interactions):
+    """Split the interactions; write the split and the config snapshot.
+    Returns the output directory and the split."""
+    bundle = data_mod.split_unbiased_protocol(
+        interactions, cfg["test_frac"], cfg["valid_frac"], cfg["seed"],
+        sampling=cfg["sampling"],
+    )
+    out_dir = _out_dir(cfg["out_dir"])
+    data_mod.save_split(
+        bundle, out_dir, seed=cfg["seed"],
+        fractions={"test": cfg["test_frac"], "valid": cfg["valid_frac"]},
+    )
+    _write_resolved(cfg, command, out_dir)
+    return out_dir, bundle
 
 
 def _cmd_split(cfg: dict) -> int:
     if not cfg["data"]:
         raise ConfigError("split requires --data")
     interactions = data_mod.load_interactions(cfg["data"], lenient=cfg["lenient"])
-    bundle = data_mod.split_unbiased_protocol(
-        interactions, cfg["test_frac"], cfg["valid_frac"], cfg["seed"],
-        sampling=cfg["sampling"],
-    )
-    out_dir = Path(cfg["out_dir"])
-    data_mod.save_split(
-        bundle, out_dir, seed=cfg["seed"],
-        fractions={"test": cfg["test_frac"], "valid": cfg["valid_frac"]},
-    )
-    _write_resolved(cfg, "split", out_dir)
+    _, bundle = _save_split(cfg, "split", interactions)
     log.info(
         "split: %d train / %d validation / %d test pairs",
         len(bundle.train), len(bundle.validation), len(bundle.test),
@@ -189,18 +181,8 @@ def _cmd_synth(cfg: dict) -> int:
         cfg["m"], cfg["n"], cfg["skew"], cfg["seed"]
     )
     clicks = data_mod.sample_clicks(world, cfg["seed"])
-    bundle = data_mod.split_unbiased_protocol(
-        clicks, cfg["test_frac"], cfg["valid_frac"], cfg["seed"],
-        sampling=cfg["sampling"],
-    )
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir, bundle = _save_split(cfg, "synth", clicks)
     data_mod.save_world(world, out_dir / "world.bin")
-    data_mod.save_split(
-        bundle, out_dir, seed=cfg["seed"],
-        fractions={"test": cfg["test_frac"], "valid": cfg["valid_frac"]},
-    )
-    _write_resolved(cfg, "synth", out_dir)
     log.info(
         "synth: %d clicks over %dx%d, split %d/%d/%d",
         len(clicks), cfg["m"], cfg["n"],
@@ -226,8 +208,7 @@ def _cmd_train(cfg: dict) -> int:
         if not world_path.exists():
             raise DataError(f"objective ipw_align_oracle needs {world_path}")
         world = data_mod.load_world(world_path)
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg["out_dir"])
     _write_resolved(cfg, "train", out_dir)
 
     result = trainer.train(bundle, tcfg, world=world, quiet=cfg["quiet"])
@@ -253,50 +234,53 @@ def _cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _load_run(cfg: dict):
+    """The run's trained model and the split it is scored on."""
+    model, _ = load_checkpoint(Path(cfg["run_dir"]) / "checkpoint.bin")
+    return model, data_mod.load_split(cfg["data_dir"])
+
+
+def _write_report(cfg: dict, command: str, name: str, payload: dict) -> Path:
+    """Write the report and the config snapshot into the output directory
+    (default: the run directory), then print the report."""
+    out_dir = _out_dir(cfg["out_dir"] or cfg["run_dir"])
+    text = json.dumps(payload, indent=2)
+    with atomic_write(out_dir / name) as fh:
+        fh.write(text)
+    _write_resolved(cfg, command, out_dir, f"resolved-config.{command}.json")
+    print(text)
+    return out_dir
+
+
 def _cmd_eval(cfg: dict) -> int:
-    run_dir = Path(cfg["run_dir"])
-    model, _ = load_checkpoint(run_dir / "checkpoint.bin")
-    bundle = data_mod.load_split(cfg["data_dir"])
+    model, bundle = _load_run(cfg)
     mask_extra = bundle.validation if cfg["mask_validation"] else None
     report = evaluation.evaluate_topk(
         model, bundle.train, bundle.test, k=cfg["k"], scoring=cfg["scoring"],
         mask_extra=mask_extra, per_user=cfg["per_user"],
     )
-    out_dir = Path(cfg["out_dir"] or run_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload.pop("per_user", None)
-    with atomic_write(out_dir / "metrics.json") as fh:
-        json.dump(payload, fh, indent=2)
-    if cfg["per_user"] and report.per_user is not None:
+    out_dir = _write_report(cfg, "eval", "metrics.json", payload)
+    if report.per_user is not None:
         with atomic_write(out_dir / "per-user.tsv") as fh:
             for user, recall, ndcg in report.per_user:
                 fh.write(f"{user}\t{recall:.8f}\t{ndcg:.8f}\n")
-    _write_resolved(cfg, "eval", out_dir, "resolved-config.eval.json")
-    _emit_report(payload, cfg["out"])
     return 0
 
 
 def _cmd_analyze(cfg: dict) -> int:
-    run_dir = Path(cfg["run_dir"])
-    model, _ = load_checkpoint(run_dir / "checkpoint.bin")
-    bundle = data_mod.load_split(cfg["data_dir"])
+    model, bundle = _load_run(cfg)
     pair_sets = {
-        "train": bundle.train,
-        "validation": bundle.validation,
-        "test": bundle.test,
+        "train": bundle.train, "validation": bundle.validation, "test": bundle.test,
     }
     if cfg["pairs"] not in pair_sets:
         raise ConfigError(f"unknown pair set {cfg['pairs']!r}")
     report = evaluation.group_alignment(
-        model,
-        pair_sets[cfg["pairs"]],
-        bundle.train.user_counts(),
-        bundle.train.item_counts(),
-        ratio=cfg["ratio"],
+        model, pair_sets[cfg["pairs"]], bundle.train.user_counts(),
+        bundle.train.item_counts(), ratio=cfg["ratio"],
     )
-    payload = report.to_dict()
-    payload["pairs"] = cfg["pairs"]
+    payload = {**dataclasses.asdict(report), "pairs": cfg["pairs"]}
     if cfg["world"]:
         from .losses import ideal_alignment_loss
 
@@ -304,12 +288,7 @@ def _cmd_analyze(cfg: dict) -> int:
         payload["ideal_align"] = ideal_alignment_loss(
             model, world, pair_sets[cfg["pairs"]]
         )
-    out_dir = Path(cfg["out_dir"] or run_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(out_dir / "group-alignment.json") as fh:
-        json.dump(payload, fh, indent=2)
-    _write_resolved(cfg, "analyze", out_dir, "resolved-config.analyze.json")
-    _emit_report(payload, cfg["out"])
+    _write_report(cfg, "analyze", "group-alignment.json", payload)
     return 0
 
 
@@ -326,7 +305,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="debias-cf", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (defaults, _) in _COMMANDS.items():
-        child = sub.add_parser(name, add_help=True)
+        # No prefix matching: a removed flag must not turn into a longer one.
+        child = sub.add_parser(name, allow_abbrev=False)
         child.error = parser.error  # type: ignore[method-assign]
         _add_options(child, defaults)
     return parser

@@ -280,8 +280,8 @@ def generate_synthetic_world(
     """
     if m < 2 or n < 2:
         raise ConfigError("synthetic world needs m >= 2 and n >= 2")
-    if skew < 0:
-        raise ConfigError("skew must be >= 0")
+    if not 0 <= skew < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"skew must be finite and >= 0, got {skew}")
     rng = rng_from(seed, 31)
     ranks = rng.permutation(n) + 1  # popularity rank per item, 1-based
     item_weight = (1.0 / np.sqrt(ranks)) ** skew

@@ -49,15 +49,6 @@ class GroupAlignmentReport:
     unpop_item_align: float
     split_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "pop_user_align": self.pop_user_align,
-            "unpop_user_align": self.unpop_user_align,
-            "pop_item_align": self.pop_item_align,
-            "unpop_item_align": self.unpop_item_align,
-            "split_ratio": self.split_ratio,
-        }
-
 
 def _idcg_table(top: int) -> np.ndarray:
     """Ideal DCG for 0..top held-out items, summed in rank order."""
@@ -159,7 +150,8 @@ def evaluate_topk(
     Users are ranked in blocks of _CHUNK: one matmul scores a block, the
     masked items are scattered in from the CSR ranges, and a partition
     picks each row's top k. A model with a non-finite embedding raises
-    NumericalError.
+    NumericalError; a train, test or mask set of other dimensions than the
+    model raises DataError.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -167,8 +159,9 @@ def evaluate_topk(
         raise ConfigError(f"unknown scoring rule {scoring!r}")
     if len(test) == 0:
         raise DataError("test set is empty")
-    if (test.m, test.n) != (model.m, model.n):
-        raise DataError("test set dimensions do not match the model")
+    for name, pairs in (("test", test), ("train", train), ("mask_extra", mask_extra)):
+        if pairs is not None and (pairs.m, pairs.n) != (model.m, model.n):
+            raise DataError(f"{name} set dimensions do not match the model")
 
     if not (np.isfinite(model.user_vecs).all() and np.isfinite(model.item_vecs).all()):
         raise NumericalError("model embeddings hold non-finite values")

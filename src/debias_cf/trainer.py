@@ -372,8 +372,14 @@ def train(
     train_set = data.train
     if len(train_set) == 0:
         raise DataError("training set is empty")
-    if config.objective == "ipw_align_oracle" and world is None:
-        raise ConfigError("objective ipw_align_oracle requires a synthetic world")
+    if config.objective == "ipw_align_oracle":
+        if world is None:
+            raise ConfigError("objective ipw_align_oracle requires a synthetic world")
+        if (world.m, world.n) != (train_set.m, train_set.n):
+            raise DataError(
+                f"world is {world.m}x{world.n} but the split is "
+                f"{train_set.m}x{train_set.n}"
+            )
 
     pop_table = None
     if config.objective == "ipw_align_pop":

@@ -237,6 +237,51 @@ class TestErrors:
             "--out-dir", str(tmp_path), "--quiet",
         ]) == 2
 
+    @pytest.mark.parametrize("command", ["split", "synth", "train", "eval", "analyze"])
+    def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys, command):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        args = {
+            "split": ["--data", str(write_log(tmp_path))],
+            "synth": ["--m", "20", "--n", "30"],
+            "train": ["--data-dir", str(synth_split(tmp_path)), "--d", "4",
+                      "--epochs", "1"],
+        }.get(command)
+        if args is None:
+            out = run_pipeline(tmp_path)
+            args = ["--run-dir", str(out), "--data-dir", str(out)]
+        capsys.readouterr()
+        assert main([command, *args, "--out-dir", str(target), "--quiet"]) == 1
+        assert str(target) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("skew", ["nan", "inf"])
+    def test_non_finite_skew_is_usage_error(self, tmp_path, skew):
+        assert main([
+            "synth", "--skew", skew, "--out-dir", str(tmp_path / "o"), "--quiet",
+        ]) == 1
+
+    def test_stale_world_of_other_dimensions_is_data_error(self, tmp_path):
+        # a 40x60 synth, then a 15x20 log split into the same directory,
+        # leaves the synth's world.bin beside a split it does not describe
+        out = tmp_path / "run"
+        assert main([
+            "synth", "--m", "40", "--n", "60", "--out-dir", str(out), "--quiet",
+        ]) == 0
+        log = tmp_path / "log.tsv"
+        log.write_text("".join(
+            f"u{u}\ti{(u + k) % 20}\n" for u in range(15) for k in range(0, 20, 3)
+        ))
+        assert main([
+            "split", "--data", str(log), "--out-dir", str(out), "--quiet",
+        ]) == 0
+        manifest = json.loads((out / "split-manifest.json").read_text())
+        assert (manifest["m"], manifest["n"]) == (15, 20)
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(out),
+            "--objective", "ipw_align_oracle", "--d", "4", "--epochs", "1",
+            "--quiet",
+        ]) == 2
+
     def test_world_of_another_run_is_data_error(self, tmp_path):
         out = run_pipeline(tmp_path)  # 40 x 60
         other = tmp_path / "other"
@@ -330,6 +375,14 @@ class TestConfigFile:
             *(["--data-dir", str(tmp_path / "nope")] if command == "train" else []),
             "--quiet",
         ]) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_out_is_no_option(self, tmp_path, command):
+        # the report is printed and written into --out-dir; there is no --out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "report.json")}))
+        assert main([command, "--config", str(cfg), "--quiet"]) == 1
+        assert main([command, "--out", str(tmp_path / "report.json"), "--quiet"]) == 1
 
     @pytest.mark.parametrize("command,key,bad,good", [
         ("split", "lenient", "false", False),  # bool default: JSON bool only

@@ -163,6 +163,16 @@ class TestEvaluateTopk:
         with pytest.raises(DataError):
             ev.evaluate_topk(model, iset(2, 4, [[0, 0]]), iset(2, 4, np.zeros((0, 2))), k=5)
 
+    @pytest.mark.parametrize("argument", ["train", "mask_extra"])
+    def test_mask_of_other_dimensions_rejected(self, rng, argument):
+        # a 40x60 mask against a 20x30 model would index past the score block
+        model = model_from(rng.normal(size=(20, 3)), rng.normal(size=(30, 3)))
+        sets = {"train": iset(20, 30, [[0, 0]]), "mask_extra": None,
+                argument: iset(40, 60, [[39, 59]])}
+        with pytest.raises(DataError, match=argument):
+            ev.evaluate_topk(model, sets["train"], iset(20, 30, [[1, 1]]), k=5,
+                             mask_extra=sets["mask_extra"])
+
     def test_ndcg_one_when_all_test_items_top_ranked(self):
         item_vecs = np.zeros((6, 1))
         item_vecs[:3, 0] = [3.0, 2.0, 1.0]  # items 0..2 on top, in order

@@ -9,6 +9,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import debias_cf
 from debias_cf.cli import build_parser
 
@@ -70,13 +72,31 @@ def test_train_config_fields_are_pinned():
     assert names == TRAIN_CONFIG_FIELDS
 
 
-def test_train_options_are_the_config_fields_and_cli_keys():
+def options(command):
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    train = subparsers.choices["train"]
-    dests = {a.dest for a in train._actions if a.dest != "help"}
-    assert dests == set(TRAIN_CONFIG_FIELDS) | TRAIN_CLI_ONLY
+    return {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+
+
+def test_train_options_are_the_config_fields_and_cli_keys():
+    assert options("train") == set(TRAIN_CONFIG_FIELDS) | TRAIN_CLI_ONLY
+
+
+#: The other subcommands' options, each exactly: a new knob edits its pin.
+SPLIT_OPTIONS = {"test_frac", "valid_frac", "seed", "sampling", "out_dir", "config", "quiet"}
+REPORT_OPTIONS = {"run_dir", "data_dir", "out_dir", "config", "quiet"}
+OPTIONS = {
+    "split": SPLIT_OPTIONS | {"data", "lenient"},
+    "synth": SPLIT_OPTIONS | {"m", "n", "skew"},
+    "eval": REPORT_OPTIONS | {"k", "scoring", "mask_validation", "per_user"},
+    "analyze": REPORT_OPTIONS | {"ratio", "pairs", "world"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_options_are_pinned(command):
+    assert options(command) == OPTIONS[command]
 
 
 #: Arguments the tracer's counters read, by traced attribute.
