@@ -209,9 +209,9 @@ def _cmd_train(cfg: dict) -> int:
             raise DataError(f"objective ipw_align_oracle needs {world_path}")
         world = data_mod.load_world(world_path)
     out_dir = _out_dir(cfg["out_dir"])
-    _write_resolved(cfg, "train", out_dir)
 
-    result = trainer.train(bundle, tcfg, world=world, quiet=cfg["quiet"])
+    result = trainer.train(bundle, tcfg, world=world)
+    _write_resolved(cfg, "train", out_dir)
     save_checkpoint(result.best_model, result.best_projections,
                     out_dir / "checkpoint.bin")
     with atomic_write(out_dir / "train-log.jsonl") as fh:

@@ -389,9 +389,11 @@ def load_split(split_dir) -> SplitBundle:
     m, n = manifest["m"], manifest["n"]
     if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise DataError(f"{manifest_path}: m and n must be non-negative integers")
-    for key in ("user_labels", "item_labels"):
+    for key, size in (("user_labels", m), ("item_labels", n)):
         if not isinstance(manifest[key], (list, type(None))):
             raise DataError(f"{manifest_path}: {key} must be a list or null")
+        if manifest[key] is not None and len(manifest[key]) != size:
+            raise DataError(f"{manifest_path}: {key} must hold {size} labels")
     protocol_tag = manifest.get("protocol_tag", "preprovided")
     if protocol_tag not in PROTOCOL_TAGS:
         raise DataError(f"{manifest_path}: unknown protocol tag {protocol_tag!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import atomic_write
+from .util import atomic_write, rng_from
 
 log = logging.getLogger(__name__)
 
@@ -88,11 +88,9 @@ def init_model(
     embedding geometry instead of random noise. scale=0 gives an exactly
     zero/identity model, which some tests rely on.
     """
-    if d < 1:
-        raise ConfigError("embedding dimension must be >= 1")
     if scale < 0:
         raise ConfigError("init scale must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
+    rng = rng_from(seed, 11)
     user = rng.normal(0.0, 1.0, size=(m, d)) * scale
     item = rng.normal(0.0, 1.0, size=(n, d)) * scale
     eye = np.eye(d)

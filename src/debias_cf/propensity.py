@@ -7,7 +7,8 @@ probabilities omega:
                projections of the user and item vectors. Because the dot of
                unit vectors lies in [-1, 1], the estimate is confined to
                [sigmoid(-1), sigmoid(1)] ~ [0.2689, 0.7311]; with the
-               default floor mu = 0.1 the clip never binds for this source.
+               floor mu = 0.1 (TrainConfig's default) the clip never binds
+               for this source.
 * oracle     - ground-truth exposure looked up from a SyntheticWorld
                (testing and diagnostics only).
 * item popularity - (item count / max count)^eta, a popularity baseline
@@ -23,16 +24,13 @@ import numpy as np
 
 from .data import InteractionSet, SyntheticWorld
 from .errors import ConfigError, DataError
-from .util import debug_enabled, sigmoid
+from .util import sigmoid
 
 #: Propensities are kept strictly below 1 so inverse weights stay above 1.
 UPPER_CAP = 1.0 - 1e-6
 
-#: Default clipping floor.
-DEFAULT_MU = 0.1
 
-
-def clip(w, mu: float = DEFAULT_MU):
+def clip(w, mu: float):
     """Floor a propensity at mu: max(w, mu). Idempotent and monotone."""
     if not 0 < mu < 1:
         raise ConfigError("clip floor mu must lie in (0, 1)")
@@ -55,24 +53,10 @@ def project_rows(base_norm: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return base_norm @ matrix.T
 
 
-def estimate_learned(proj_u_norm: np.ndarray, proj_i_norm: np.ndarray):
-    """sigmoid of the rowwise dot of normalized projected vectors.
-
-    Inputs must already be L2-normalized; in debug mode a norm deviating
-    from 1 by more than 1e-4 raises.
-    """
-    pu = np.atleast_2d(np.asarray(proj_u_norm, dtype=np.float64))
-    pi = np.atleast_2d(np.asarray(proj_i_norm, dtype=np.float64))
-    if debug_enabled():
-        for name, arr in (("user", pu), ("item", pi)):
-            norms = np.linalg.norm(arr, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-4:
-                raise DataError(f"projected {name} vectors are not normalized")
-    dots = np.einsum("bd,bd->b", pu, pi)
-    out = sigmoid(dots)
-    if np.ndim(proj_u_norm) == 1:
-        return float(out[0])
-    return out
+def estimate_learned(proj_u_norm: np.ndarray, proj_i_norm: np.ndarray) -> np.ndarray:
+    """sigmoid of the rowwise dot of (B, d) rows of L2-normalized projected
+    vectors."""
+    return sigmoid(np.einsum("bd,bd->b", proj_u_norm, proj_i_norm))
 
 
 def estimate_oracle(world: SyntheticWorld, pairs: np.ndarray) -> np.ndarray:
@@ -100,9 +84,7 @@ def item_popularity_table(train: InteractionSet, exponent: float = 0.5) -> np.nd
     return (counts / counts.max()) ** exponent
 
 
-def inverse_weights(
-    omega_raw: np.ndarray, mu: float = DEFAULT_MU
-) -> tuple[np.ndarray, np.ndarray]:
+def inverse_weights(omega_raw: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Turn raw propensities into (omega, weights): omega is capped at
     UPPER_CAP and floored at mu, and weights = 1 / omega."""
     omega = clip(np.minimum(omega_raw, UPPER_CAP), mu)

@@ -28,7 +28,7 @@ from .embedding import (
     normalize_rows_full,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .util import debug_enabled, rng_from
+from .util import rng_from
 
 log = logging.getLogger(__name__)
 
@@ -101,19 +101,14 @@ class Adam:
     every row moves, also rows the batch did not touch.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(
-        self,
-        shapes: dict[str, tuple[int, ...]],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
+        self, shapes: dict[str, tuple[int, ...]], lr: float, weight_decay: float = 0.0
     ):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
@@ -207,14 +202,19 @@ def make_batches(
     return chunks
 
 
+def _tensors(model: EmbeddingTable, projections: ProjectionPair) -> dict[str, np.ndarray]:
+    """The trained tensors by the names Adam and the error messages use."""
+    return {
+        "user_vecs": model.user_vecs,
+        "item_vecs": model.item_vecs,
+        "m_user": projections.m_user,
+        "m_item": projections.m_item,
+    }
+
+
 def init_state(m: int, n: int, config: TrainConfig) -> TrainState:
     model, projections = init_model(m, n, config.d, config.seed, config.init_scale)
-    shapes = {
-        "user_vecs": (m, config.d),
-        "item_vecs": (n, config.d),
-        "m_user": (config.d, config.d),
-        "m_item": (config.d, config.d),
-    }
+    shapes = {name: t.shape for name, t in _tensors(model, projections).items()}
     opt = Adam(shapes, lr=config.lr, weight_decay=config.weight_decay)
     return TrainState(model, projections, opt)
 
@@ -305,19 +305,7 @@ def train_step(
     grads["item_vecs"] = (iids, g_item)
     _check_finite_grads(grads, state.opt.t + 1)
 
-    params = {
-        "user_vecs": model.user_vecs,
-        "item_vecs": model.item_vecs,
-        "m_user": proj.m_user,
-        "m_item": proj.m_item,
-    }
-    updated = state.opt.step(params, grads)
-    if debug_enabled():
-        for name, value in updated.items():
-            if not np.isfinite(value).all():
-                raise NumericalError(
-                    f"non-finite values in tensor {name!r} after step {state.opt.t}"
-                )
+    state.opt.step(_tensors(model, proj), grads)
 
     return {
         "align": main_terms.align,
@@ -359,14 +347,16 @@ def train(
     config: TrainConfig,
     world: SyntheticWorld | None = None,
     eval_fn=None,
-    quiet: bool = True,
 ) -> TrainResult:
     """Run the full loop and keep the checkpoint with the best validation
     ranking quality.
 
     eval_fn(model, projections, epoch) -> (recall, ndcg) may be injected
     for tests; the default ranks the validation set with the training items
-    masked. History records one JSON-ready dict per epoch.
+    masked. History records one JSON-ready dict per epoch, and each epoch
+    logs one INFO line. A non-finite value in the final or best tensors
+    raises NumericalError: the per-step gradient check cannot see what the
+    last steps write.
     """
     config.validate()
     train_set = data.train
@@ -421,16 +411,19 @@ def train(
         record["val_ndcg20"] = val_ndcg
         record["wall_ms"] = (time.perf_counter() - t0) * 1000.0
         history.append(record)
-        if not quiet:
-            log.info(
-                "epoch %d: total=%.5f align=%.5f val_ndcg20=%s",
-                epoch,
-                record["total"],
-                record["align"],
-                "n/a" if val_ndcg is None else f"{val_ndcg:.4f}",
-            )
+        log.info(
+            "epoch %d: total=%.5f align=%.5f val_ndcg20=%s",
+            epoch,
+            record["total"],
+            record["align"],
+            "n/a" if val_ndcg is None else f"{val_ndcg:.4f}",
+        )
 
     if best_metric is None:
         best_model = state.model.copy()
         best_proj = state.projections.copy()
+    for model, proj in ((state.model, state.projections), (best_model, best_proj)):
+        for name, value in _tensors(model, proj).items():
+            if not np.isfinite(value).all():
+                raise NumericalError(f"non-finite values in tensor {name!r} after training")
     return TrainResult(state, best_model, best_proj, best_epoch, best_metric, history)

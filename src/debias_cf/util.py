@@ -1,6 +1,6 @@
-"""Small shared helpers: seeded RNG streams, sigmoid, debug toggle,
-atomic artifact writes, and the two-sided runner that overlaps the user
-and item halves of a loss."""
+"""Small shared helpers: seeded RNG streams, sigmoid, atomic artifact
+writes, and the two-sided runner that overlaps the user and item halves
+of a loss."""
 
 from __future__ import annotations
 
@@ -13,13 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def rng_from(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic generator for (seed, purpose-tags).
 
     Distinct tag tuples yield independent streams, so subsystems never
-    share or race on one generator.
+    share or race on one generator. A negative seed is a ConfigError.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
@@ -36,24 +40,14 @@ def sigmoid(x):
     return out
 
 
-def debug_enabled() -> bool:
-    """Extra invariant checks (finite params, normalized inputs) when set."""
-    return os.environ.get("DEBIAS_CF_DEBUG", "") not in ("", "0")
-
-
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside path for writing ("w" as UTF-8 text,
     or "wb"). It replaces path only once the block ends without an error;
     on an error it is removed and path keeps its previous contents. There
     is no fsync: a reader never sees a half-written file, but a power loss
-    may lose the last write. A symlink is written through, and a path that
-    is not a regular file (a pipe or a terminal) is written directly."""
+    may lose the last write. A symlink is written through."""
     encoding = None if "b" in mode else "utf-8"
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, encoding=encoding) as fh:
-            yield fh
-        return
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

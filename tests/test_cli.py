@@ -25,6 +25,17 @@ def write_log(tmp_path):
     return log
 
 
+def input_args(tmp_path, command):
+    """Inputs for a small split, synth or train run; None for other commands."""
+    if command == "split":
+        return ["--data", str(write_log(tmp_path))]
+    if command == "synth":
+        return ["--m", "20", "--n", "30"]
+    if command == "train":
+        return ["--data-dir", str(synth_split(tmp_path)), "--d", "4", "--epochs", "1"]
+    return None
+
+
 def run_pipeline(tmp_path, extra_train=()):
     out = tmp_path / "run"
     assert main([
@@ -196,7 +207,7 @@ class TestErrors:
     @pytest.mark.parametrize("corruption", [
         "not-json", "not-an-object", "missing-m", "missing-item-labels",
         "m-not-an-integer", "labels-not-a-list", "train-not-utf8",
-        "unknown-protocol-tag",
+        "unknown-protocol-tag", "too-many-user-labels",
     ])
     def test_malformed_split_is_data_error(self, tmp_path, corruption):
         split = synth_split(tmp_path)
@@ -215,6 +226,8 @@ class TestErrors:
                 manifest["user_labels"] = 20
             elif corruption == "unknown-protocol-tag":
                 manifest["protocol_tag"] = "x"
+            elif corruption == "too-many-user-labels":
+                manifest["user_labels"] = [str(u) for u in range(25)]
             else:
                 del manifest[corruption.removeprefix("missing-").replace("-", "_")]
             manifest_path.write_text(json.dumps(manifest))
@@ -241,12 +254,7 @@ class TestErrors:
     def test_output_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys, command):
         target = tmp_path / "taken"
         target.write_text("not a directory")
-        args = {
-            "split": ["--data", str(write_log(tmp_path))],
-            "synth": ["--m", "20", "--n", "30"],
-            "train": ["--data-dir", str(synth_split(tmp_path)), "--d", "4",
-                      "--epochs", "1"],
-        }.get(command)
+        args = input_args(tmp_path, command)
         if args is None:
             out = run_pipeline(tmp_path)
             args = ["--run-dir", str(out), "--data-dir", str(out)]
@@ -262,7 +270,8 @@ class TestErrors:
 
     def test_stale_world_of_other_dimensions_is_data_error(self, tmp_path):
         # a 40x60 synth, then a 15x20 log split into the same directory,
-        # leaves the synth's world.bin beside a split it does not describe
+        # leaves the synth's world.bin beside a split it does not describe;
+        # the failed train keeps the split's config snapshot
         out = tmp_path / "run"
         assert main([
             "synth", "--m", "40", "--n", "60", "--out-dir", str(out), "--quiet",
@@ -281,6 +290,7 @@ class TestErrors:
             "--objective", "ipw_align_oracle", "--d", "4", "--epochs", "1",
             "--quiet",
         ]) == 2
+        assert json.loads((out / "resolved-config.json").read_text())["command"] == "split"
 
     def test_world_of_another_run_is_data_error(self, tmp_path):
         out = run_pipeline(tmp_path)  # 40 x 60
@@ -334,13 +344,9 @@ class TestErrors:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("debug", ["0", "1"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_diverging_run_exits_3(self, tmp_path, monkeypatch, debug):
-        # In debug mode the post-step parameter check fires first; it is a
-        # numerical failure too, not a data error.
-        monkeypatch.setenv("DEBIAS_CF_DEBUG", debug)
+    def test_diverging_run_exits_3(self, tmp_path):
         out = tmp_path / "run"
         assert main([
             "synth", "--m", "40", "--n", "60", "--skew", "1.5", "--seed", "7",
@@ -350,6 +356,29 @@ class TestErrors:
             "train", "--data-dir", str(out), "--out-dir", str(out),
             "--lr", "1e39", "--d", "8", "--batch-size", "16", "--quiet",
         ]) == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_last_step_going_non_finite_exits_3_without_checkpoint(self, tmp_path):
+        # One batch and no validation: no later step or ranking reads the
+        # overflowed rows, so only the check of the returned tensors can.
+        out = synth_split(tmp_path)
+        (out / "validation.tsv").write_text("")
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(out),
+            "--lr", "1e39", "--d", "4", "--epochs", "1", "--batch-size", "100000",
+            "--quiet",
+        ]) == 3
+        assert not (out / "checkpoint.bin").exists()
+        assert json.loads((out / "resolved-config.json").read_text())["command"] == "synth"
+
+    @pytest.mark.parametrize("command", ["split", "synth", "train"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        args = input_args(tmp_path, command)
+        capsys.readouterr()
+        assert main([
+            command, *args, "--seed", "-2", "--out-dir", str(tmp_path / "o"), "--quiet",
+        ]) == 1
+        assert "seed" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -396,12 +425,7 @@ class TestConfigFile:
         ("train", "seed", 1.5, 2),
     ])
     def test_value_must_have_the_flags_type(self, tmp_path, command, key, bad, good):
-        args = {
-            "split": ["--data", str(write_log(tmp_path))],
-            "synth": ["--m", "20", "--n", "30"],
-            "train": ["--data-dir", str(synth_split(tmp_path)), "--d", "4",
-                      "--epochs", "1"],
-        }[command]
+        args = input_args(tmp_path, command)
         cfg = tmp_path / "cfg.json"
         for value, code in ((bad, 1), (good, 0)):
             cfg.write_text(json.dumps({key: value}))

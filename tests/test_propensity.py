@@ -69,22 +69,17 @@ class TestProject:
 
 class TestEstimateLearned:
     def test_parallel_vectors(self):
-        v = np.array([0.6, 0.8])
-        assert pp.estimate_learned(v, v) == pytest.approx(sigmoid(1.0), abs=1e-12)
+        v = np.array([[0.6, 0.8]])
+        assert pp.estimate_learned(v, v)[0] == pytest.approx(sigmoid(1.0), abs=1e-12)
 
     def test_orthogonal_vectors(self):
         assert pp.estimate_learned(
-            np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        ) == pytest.approx(0.5, abs=1e-12)
+            np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+        )[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_antiparallel_vectors(self):
-        v = np.array([0.0, 1.0])
-        assert pp.estimate_learned(v, -v) == pytest.approx(sigmoid(-1.0), abs=1e-12)
-
-    def test_debug_mode_rejects_unnormalized(self, monkeypatch):
-        monkeypatch.setenv("DEBIAS_CF_DEBUG", "1")
-        with pytest.raises(DataError, match="not normalized"):
-            pp.estimate_learned(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+        v = np.array([[0.0, 1.0]])
+        assert pp.estimate_learned(v, -v)[0] == pytest.approx(sigmoid(-1.0), abs=1e-12)
 
     def test_range_confined_to_sigmoid_band(self, rng):
         u = normalize_rows(rng.normal(size=(5000, 6)))
@@ -193,7 +188,7 @@ class TestPropensityEstimate:
         assert np.all(weights > 1)
 
     def test_weights_are_inverse(self):
-        _, weights = pp.inverse_weights(np.array([0.25, 0.5]))
+        _, weights = pp.inverse_weights(np.array([0.25, 0.5]), mu=0.1)
         assert np.allclose(weights, [4.0, 2.0])
 
 

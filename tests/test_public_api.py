@@ -83,6 +83,11 @@ def test_train_options_are_the_config_fields_and_cli_keys():
     assert options("train") == set(TRAIN_CONFIG_FIELDS) | TRAIN_CLI_ONLY
 
 
+def test_train_parameters_are_pinned():
+    params = tuple(inspect.signature(debias_cf.train).parameters)
+    assert params == ("data", "config", "world", "eval_fn")
+
+
 #: The other subcommands' options, each exactly: a new knob edits its pin.
 SPLIT_OPTIONS = {"test_frac", "valid_frac", "seed", "sampling", "out_dir", "config", "quiet"}
 REPORT_OPTIONS = {"run_dir", "data_dir", "out_dir", "config", "quiet"}

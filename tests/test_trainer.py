@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import threading
@@ -383,6 +384,26 @@ class TestTrain:
             dc.save_checkpoint(result.best_model, result.best_projections, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_last_step_raises(self):
+        # One batch and no validation: no later step reads the overflowed
+        # rows, so only the check of the returned tensors sees them.
+        _, bundle = toy_bundle()
+        no_pairs = np.empty((0, 2), dtype=np.int64)
+        bundle = dataclasses.replace(bundle, validation=bundle.train.replaced(no_pairs))
+        config = small_config(lr=1e39, epochs=1, batch_size=len(bundle.train))
+        with pytest.raises(NumericalError, match="'user_vecs'"):
+            train(bundle, config)
+
+    def test_one_info_line_per_epoch(self, caplog):
+        _, bundle = toy_bundle()
+        with caplog.at_level(logging.INFO, logger="debias_cf.trainer"):
+            train(bundle, small_config(epochs=3))
+        epochs = [r for r in caplog.records
+                  if r.name == "debias_cf.trainer" and r.levelno == logging.INFO]
+        assert [r.getMessage().split(":")[0] for r in epochs] == [
+            "epoch 1", "epoch 2", "epoch 3"]
 
     def test_config_validation(self):
         _, bundle = toy_bundle()

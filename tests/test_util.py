@@ -1,4 +1,3 @@
-import os
 import threading
 import time
 
@@ -116,18 +115,6 @@ class TestAtomicWrite:
         assert link.is_symlink()
         assert target.read_text() == "new"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
-
-    def test_pipe_is_written_directly(self, tmp_path):
-        fifo = tmp_path / "report"
-        os.mkfifo(fifo)
-        got = []
-        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
-        reader.start()
-        with atomic_write(fifo) as fh:
-            fh.write("report\n")
-        reader.join(WAIT_S)
-        assert got == ["report\n"]
-        assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
     def test_failed_checkpoint_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         from debias_cf import embedding as em
