@@ -8,6 +8,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,9 @@ _WORLD_SHARPNESS = 3.0
 #: Per-user exposure activity range. Values above 1 saturate head items at
 #: full exposure, keeping per-user click counts large enough to learn from.
 _WORLD_ACTIVITY_LO, _WORLD_ACTIVITY_HI = 1.0, 5.0
+#: Rows per block of the world and click computations, which bounds their
+#: float64 temporaries at _ROW_BLOCK x n cells.
+_ROW_BLOCK = 128
 
 
 @dataclass
@@ -49,21 +53,25 @@ class InteractionSet:
     item_order: np.ndarray = field(init=False, repr=False)  # (P,) positions
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
         if len(pairs):
             if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= self.m:
                 raise DataError("user index out of range")
             if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= self.n:
                 raise DataError("item index out of range")
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs = pairs[order]
-        if len(pairs) > 1 and (np.diff(pairs, axis=0) == 0).all(axis=1).any():
-            raise DataError("duplicate (user, item) pairs")
+        if int(self.m) * int(self.n) >= 2**63:
+            raise DataError(f"{self.m}x{self.n} cells overflow the int64 pair key")
+        key = pairs[:, 0] * self.n + pairs[:, 1]  # input that ascends needs no sort
+        if not (key[1:] > key[:-1]).all():
+            key = np.sort(key)
+            if (key[1:] == key[:-1]).any():
+                raise DataError("duplicate (user, item) pairs")
+            pairs = np.stack([key // self.n, key % self.n], axis=1)
         self.pairs = pairs
-        # Stable, so each item's positions (and hence its users) ascend.
-        self.item_order = np.argsort(pairs[:, 1], kind="stable")
-        self.user_ptr = np.searchsorted(pairs[:, 0], np.arange(self.m + 1))
-        self.item_ptr = np.searchsorted(pairs[self.item_order, 1], np.arange(self.n + 1))
+        # Item-major keys are distinct, so each item's positions (users) ascend.
+        self.item_order = np.argsort(pairs[:, 1] * self.m + pairs[:, 0])
+        self.user_ptr = _offsets(pairs[:, 0], self.m)
+        self.item_ptr = _offsets(pairs[:, 1], self.n)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -86,6 +94,11 @@ class InteractionSet:
     def replaced(self, pairs: np.ndarray) -> "InteractionSet":
         """Same dimensions and labels, different pair list."""
         return InteractionSet(self.m, self.n, pairs, self.user_labels, self.item_labels)
+
+
+def _offsets(column: np.ndarray, size: int) -> np.ndarray:
+    """(size + 1,) offsets of the runs of 0..size-1 in the sorted column."""
+    return np.concatenate(([0], np.cumsum(np.bincount(column, minlength=size))))
 
 
 PROTOCOL_TAGS = ("synthetic_debiased", "preprovided")
@@ -130,54 +143,65 @@ class SyntheticWorld:
             raise DataError("exposure values must lie in (0, 1]")
 
 
-def _text_lines(path):
-    """Numbered lines of a UTF-8 text file; undecodable bytes are a DataError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def _read_tsv(path, ids=None, lenient: bool = False):
+    """User and item index columns of a UTF-8 `user<TAB>item` file, and the
+    (user, item) id -> index maps. Lines end at LF, CRLF or a lone CR, and
+    blank ones are skipped. A log (ids None) skips '#' comment lines too and
+    maps ids in first-appearance order; a split file is looked up in ids."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    is_log = ids is None
+    kept = [bool(s := ln.lstrip()) and not (is_log and s[0] == "#") for ln in lines]
+    lines = list(compress(lines, kept))
+    width = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) + 1
+    fields = "\t".join(lines)
+    del text, lines  # before the field strings are made
+    fields = fields.split("\t")
+    if len(width) and (width == 2).all():
+        users, items = fields[0::2], fields[1::2]
+    else:  # each line's first two fields; "" stands for a missing second
+        first = (np.cumsum(width) - width).tolist()
+        fields.append("")
+        users, items = [fields[k] for k in first], [fields[k + 1] for k in first]
+    del fields
+    if is_log:  # first-appearance order; "" is left out, so it looks up as unknown
+        ids = [dict(zip(filter(None, dict.fromkeys(column)), range(len(column))))
+               for column in (users, items)]
+    u = np.fromiter(map(ids[0].get, users, repeat(-1)), np.int64, len(users))
+    i = np.fromiter(map(ids[1].get, items, repeat(-1)), np.int64, len(items))
+    bad_width = width < 2 if lenient else width != 2
+    failed = bad_width | (u < 0) | (i < 0)
+    if failed.any():  # the first bad line, as a line-by-line parse finds it
+        k = int(np.argmax(failed))
+        unknown = users[k] if u[k] < 0 else items[k]
+        problem = "empty id" if is_log else f"unknown id {unknown!r}"
+        if bad_width[k]:
+            problem = (f"expected 2 tab-separated fields, got {width[k]}" if is_log
+                       else "expected 2 fields")
+        lineno = np.flatnonzero(kept)[k] + 1  # kept: one flag per line of the file
+        raise DataError(f"{path}: line {lineno}: {problem}")
+    return u, i, ids
 
 
 def load_interactions(path, lenient: bool = False) -> InteractionSet:
     """Parse a UTF-8 TSV of `user_id<TAB>item_id` lines into dense indices.
 
-    Ids are arbitrary strings, mapped in first-appearance order; duplicate
-    pairs collapse to one. Lines starting with '#' and blank lines are
-    skipped. With lenient=True, columns beyond the second are ignored;
-    otherwise any line without exactly two fields is a parse error.
+    Ids are non-empty strings, mapped in first-appearance order; duplicate
+    pairs collapse to one. Blank lines and '#' comment lines are skipped.
+    With lenient=True, columns beyond the second are ignored; otherwise any
+    line without exactly two fields is a parse error.
     """
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    for lineno, line in _text_lines(path):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 and not (lenient and len(fields) > 2):
-            raise DataError(
-                f"{path}: line {lineno}: expected 2 tab-separated fields, "
-                f"got {len(fields)}"
-            )
-        uid, iid = fields[0], fields[1]
-        if not uid or not iid:
-            raise DataError(f"{path}: line {lineno}: empty id")
-        u = users.setdefault(uid, len(users))
-        i = items.setdefault(iid, len(items))
-        if (u, i) not in seen:
-            seen.add((u, i))
-            pairs.append((u, i))
-    if not pairs:
+    users, items, (user_ids, item_ids) = _read_tsv(path, lenient=lenient)
+    if not len(users):
         raise DataError(f"{path}: no interactions")
-    return InteractionSet(
-        m=len(users),
-        n=len(items),
-        pairs=np.array(pairs, dtype=np.int64),
-        user_labels=list(users),
-        item_labels=list(items),
-    )
+    n = len(item_ids)
+    key = np.sort(users * n + items)
+    key = key[np.diff(key, prepend=-1) != 0]  # duplicates collapse
+    return InteractionSet(len(user_ids), n, np.stack([key // n, key % n], axis=1),
+                          list(user_ids), list(item_ids))
 
 
 def _stochastic_round(x: float, rng: np.random.Generator) -> int:
@@ -286,13 +310,25 @@ def generate_synthetic_world(
     ranks = rng.permutation(n) + 1  # popularity rank per item, 1-based
     item_weight = (1.0 / np.sqrt(ranks)) ** skew
     activity = rng.uniform(_WORLD_ACTIVITY_LO, _WORLD_ACTIVITY_HI, size=m)
-    exposure = np.clip(activity[:, None] * item_weight[None, :], EXPOSURE_FLOOR, 1.0)
-
     latent_u = rng.normal(size=(m, _WORLD_LATENT_D))
     latent_i = rng.normal(size=(n, _WORLD_LATENT_D))
-    logits = (latent_u @ latent_i.T) * (_WORLD_SHARPNESS / math.sqrt(_WORLD_LATENT_D))
-    relevance = sigmoid(logits)
+    scale = _WORLD_SHARPNESS / math.sqrt(_WORLD_LATENT_D)
+    relevance = np.empty((m, n), dtype=np.float32)
+    exposure = np.empty((m, n), dtype=np.float32)
+    for rows in _row_blocks(m):
+        exposure[rows] = np.clip(activity[rows, None] * item_weight, EXPOSURE_FLOOR, 1.0)
+        relevance[rows] = sigmoid((latent_u[rows] @ latent_i.T) * scale)
     return SyntheticWorld(m, n, relevance, exposure)
+
+
+def _row_blocks(m: int) -> list[slice]:
+    """Slices of _ROW_BLOCK consecutive rows of m (the last may be shorter)."""
+    return [slice(r, r + _ROW_BLOCK) for r in range(0, m, _ROW_BLOCK)]
+
+
+def _click_prob(world: SyntheticWorld, rows) -> np.ndarray:
+    """exposure * relevance of the given rows, in float64 (exact)."""
+    return np.multiply(world.exposure[rows], world.relevance[rows], dtype=np.float64)
 
 
 def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
@@ -304,18 +340,19 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     trainable.
     """
     rng = rng_from(seed, 41)
-    prob = world.exposure.astype(np.float64) * world.relevance.astype(np.float64)
-    clicks = rng.random(prob.shape) < prob
+    clicks = np.empty((world.m, world.n), dtype=bool)
+    # Block by block, the draws are the same stream as one m x n draw.
+    for rows in _row_blocks(world.m):
+        clicks[rows] = rng.random(clicks[rows].shape) < _click_prob(world, rows)
     for user in np.flatnonzero(~clicks.any(axis=1)).tolist():
+        prob = _click_prob(world, user)
         for _ in range(10):
-            clicks[user] = rng.random(world.n) < prob[user]
+            clicks[user] = rng.random(world.n) < prob
             if clicks[user].any():
                 break
         else:
-            clicks[user, int(np.argmax(prob[user]))] = True
-    users, items = np.nonzero(clicks)
-    pairs = np.stack([users, items], axis=1).astype(np.int64)
-    return InteractionSet(world.m, world.n, pairs)
+            clicks[user, int(np.argmax(prob))] = True
+    return InteractionSet(world.m, world.n, np.argwhere(clicks))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +362,13 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
 
 def _write_pairs_tsv(path: Path, iset: InteractionSet) -> None:
     users, items = iset.labels()
+    cells = np.empty((len(iset), 4), dtype=object)
+    cells[:, 0] = np.array(users, dtype=object)[iset.pairs[:, 0]]
+    cells[:, 1] = "\t"
+    cells[:, 2] = np.array(items, dtype=object)[iset.pairs[:, 1]]
+    cells[:, 3] = "\n"
     with atomic_write(path) as fh:
-        for u, i in iset.pairs:
-            fh.write(f"{users[u]}\t{items[i]}\n")
+        fh.write("".join(cells.ravel().tolist()))
 
 
 def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
@@ -349,25 +390,7 @@ def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
         "item_labels": ref.item_labels,
     }
     with atomic_write(out / "split-manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
-
-
-def _read_pairs_tsv(path: Path, u_map: dict, i_map: dict, m: int, n: int,
-                    user_labels, item_labels) -> InteractionSet:
-    pairs = []
-    for lineno, line in _text_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(f"{path}: line {lineno}: expected 2 fields")
-        try:
-            pairs.append((u_map[fields[0]], i_map[fields[1]]))
-        except KeyError as exc:
-            raise DataError(f"{path}: line {lineno}: unknown id {exc}") from None
-    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return InteractionSet(m, n, arr, user_labels, item_labels)
+        fh.write(json.dumps(manifest, indent=2))
 
 
 def load_split(split_dir) -> SplitBundle:
@@ -389,28 +412,25 @@ def load_split(split_dir) -> SplitBundle:
     m, n = manifest["m"], manifest["n"]
     if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise DataError(f"{manifest_path}: m and n must be non-negative integers")
+    ids = []
     for key, size in (("user_labels", m), ("item_labels", n)):
-        if not isinstance(manifest[key], (list, type(None))):
+        labels = manifest[key]
+        if not isinstance(labels, (list, type(None))):
             raise DataError(f"{manifest_path}: {key} must be a list or null")
-        if manifest[key] is not None and len(manifest[key]) != size:
+        if labels is not None and len(labels) != size:
             raise DataError(f"{manifest_path}: {key} must hold {size} labels")
+        ids.append(dict(zip(labels or map(str, range(size)), range(size))))
+        if len(ids[-1]) < size:
+            raise DataError(f"{manifest_path}: {key} repeats a label")
     protocol_tag = manifest.get("protocol_tag", "preprovided")
     if protocol_tag not in PROTOCOL_TAGS:
         raise DataError(f"{manifest_path}: unknown protocol tag {protocol_tag!r}")
-    user_labels = manifest["user_labels"] or [str(u) for u in range(m)]
-    item_labels = manifest["item_labels"] or [str(i) for i in range(n)]
-    u_map = {lab: idx for idx, lab in enumerate(user_labels)}
-    i_map = {lab: idx for idx, lab in enumerate(item_labels)}
-    sets = {}
-    for name in ("train", "validation", "test"):
-        sets[name] = _read_pairs_tsv(
-            root / f"{name}.tsv", u_map, i_map, m, n,
-            manifest["user_labels"], manifest["item_labels"],
-        )
-    return SplitBundle(
-        sets["train"], sets["validation"], sets["test"],
-        protocol_tag=protocol_tag,
-    )
+    sets = [
+        InteractionSet(m, n, np.stack(_read_tsv(root / f"{name}.tsv", ids)[:2], axis=1),
+                       manifest["user_labels"], manifest["item_labels"])
+        for name in ("train", "validation", "test")
+    ]
+    return SplitBundle(*sets, protocol_tag=protocol_tag)
 
 
 def save_world(world: SyntheticWorld, path) -> None:

@@ -28,13 +28,12 @@ def rng_from(seed: int, *tags: int) -> np.random.Generator:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, branch-free: with
+    e = exp(-|x|) it is 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere.
+    min(x, -x) is -|x| that keeps a NaN's sign and payload."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

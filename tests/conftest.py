@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from debias_cf.data import InteractionSet
+from debias_cf import data as dm
+from debias_cf.data import InteractionSet, SyntheticWorld
+from debias_cf.errors import DataError
 from debias_cf.losses import (
     LossTerms,
     _accumulate_side,
@@ -318,6 +320,95 @@ def reference_sample_clicks(world, seed):
         else:
             clicks[user, int(np.argmax(prob[user]))] = True
     return clicks
+
+
+def _reference_text_lines(path):
+    """Numbered lines of a UTF-8 text file; undecodable bytes are a DataError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def reference_load_interactions(path, lenient=False):
+    """load_interactions line by line: text-mode universal newlines, one
+    dict lookup per id and one set lookup per pair."""
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
+    for lineno, line in _reference_text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 and not (lenient and len(fields) > 2):
+            raise DataError(
+                f"{path}: line {lineno}: expected 2 tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        uid, iid = fields[0], fields[1]
+        if not uid or not iid:
+            raise DataError(f"{path}: line {lineno}: empty id")
+        u = users.setdefault(uid, len(users))
+        i = items.setdefault(iid, len(items))
+        if (u, i) not in seen:
+            seen.add((u, i))
+            pairs.append((u, i))
+    if not pairs:
+        raise DataError(f"{path}: no interactions")
+    return InteractionSet(
+        m=len(users),
+        n=len(items),
+        pairs=np.array(pairs, dtype=np.int64),
+        user_labels=list(users),
+        item_labels=list(items),
+    )
+
+
+def reference_read_pairs_tsv(path, u_map, i_map, m, n, user_labels, item_labels):
+    """One split file read line by line, ids looked up in u_map and i_map."""
+    pairs = []
+    for lineno, line in _reference_text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 2 fields")
+        try:
+            pairs.append((u_map[fields[0]], i_map[fields[1]]))
+        except KeyError as exc:
+            raise DataError(f"{path}: line {lineno}: unknown id {exc}") from None
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return InteractionSet(m, n, arr, user_labels, item_labels)
+
+
+def reference_sigmoid(x):
+    """The logistic function with a boolean gather and scatter per sign."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_generate_synthetic_world(m, n, skew, seed):
+    """generate_synthetic_world with whole m x n float64 matrices."""
+    rng = rng_from(seed, 31)
+    ranks = rng.permutation(n) + 1
+    item_weight = (1.0 / np.sqrt(ranks)) ** skew
+    activity = rng.uniform(dm._WORLD_ACTIVITY_LO, dm._WORLD_ACTIVITY_HI, size=m)
+    exposure = np.clip(activity[:, None] * item_weight[None, :], dm.EXPOSURE_FLOOR, 1.0)
+
+    latent_u = rng.normal(size=(m, dm._WORLD_LATENT_D))
+    latent_i = rng.normal(size=(n, dm._WORLD_LATENT_D))
+    logits = (latent_u @ latent_i.T) * (dm._WORLD_SHARPNESS / math.sqrt(dm._WORLD_LATENT_D))
+    relevance = reference_sigmoid(logits)
+    return SyntheticWorld(m, n, relevance, exposure)
 
 
 @pytest.fixture

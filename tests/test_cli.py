@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -50,7 +51,27 @@ def run_pipeline(tmp_path, extra_train=()):
     return out
 
 
+#: SHA-256 of the outputs of `synth` with every option at its default, as
+#: written before the data layer was vectorized. The bytes depend on the
+#: rounding of numpy's exp and of the BLAS matrix product (x86-64, numpy 2.4,
+#: OpenBLAS 0.3); another build may round differently.
+SYNTH_DEFAULT_SHA256 = {
+    "world.bin": "c5e1b234f786c946fddf74ab712dd21c8fca9d1e7ff6238c786f3a45319a0c5e",
+    "train.tsv": "16e62146cc8e219141e161b5b925144da6124e5b3404108e86f64b3d447844f6",
+    "validation.tsv": "d5a6ba8d437fe7ad3b4036b13590991b5b7d10646856fedd6dfa3c3a9cd76231",
+    "test.tsv": "f229c23c3d5755529dbb62e29f9f2dcae9fcd3d6652099caaca602e87ca989b1",
+    "split-manifest.json": "750235a8850ce63199aa8a0fe0d521a5838ec7637da44a440dabc44ca5bd808c",
+}
+
+
 class TestPipeline:
+    def test_default_synth_outputs_are_pinned(self, tmp_path):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(out), "--quiet"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in SYNTH_DEFAULT_SHA256}
+        assert digests == SYNTH_DEFAULT_SHA256
+
     def test_synth_train_eval_analyze(self, tmp_path, capsys):
         out = run_pipeline(tmp_path)
         assert (out / "world.bin").exists()
@@ -208,6 +229,7 @@ class TestErrors:
         "not-json", "not-an-object", "missing-m", "missing-item-labels",
         "m-not-an-integer", "labels-not-a-list", "train-not-utf8",
         "unknown-protocol-tag", "too-many-user-labels",
+        "repeated-user-labels", "repeated-item-labels",
     ])
     def test_malformed_split_is_data_error(self, tmp_path, corruption):
         split = synth_split(tmp_path)
@@ -228,6 +250,10 @@ class TestErrors:
                 manifest["protocol_tag"] = "x"
             elif corruption == "too-many-user-labels":
                 manifest["user_labels"] = [str(u) for u in range(25)]
+            elif corruption.startswith("repeated-"):
+                key = corruption.removeprefix("repeated-").replace("-", "_")
+                size = manifest["m" if key == "user_labels" else "n"]
+                manifest[key] = ["0", *map(str, range(size - 1))]  # "0" twice
             else:
                 del manifest[corruption.removeprefix("missing-").replace("-", "_")]
             manifest_path.write_text(json.dumps(manifest))

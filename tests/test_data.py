@@ -1,11 +1,14 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from debias_cf import data as dm
 from debias_cf.errors import ConfigError, DataError
+from debias_cf.util import rng_from
 
 
 def write_tsv(tmp_path, text, name="inter.tsv"):
@@ -48,10 +51,239 @@ class TestLoadInteractions:
             dm.load_interactions(path)
 
 
+#: Log files on which the bulk reader must agree with the line-by-line one.
+LOG_CORPUS = {
+    "crlf": b"a\tX\r\nb\tY\r\n",
+    "lone-cr": b"a\tX\rb\tY\r",
+    "mixed-ends-no-final-newline": b"a\tX\r\nb\tY\rc\tZ\nd\tW",
+    "blank-lines-in-crlf": b"\r\n\r\r\na\tX\r\n\r\n",
+    "whitespace-only-and-indented-comments":
+        b"\n  \n\t\n \t \n# head\n  # indented\n\t#\tx\ty\na\tX\n\n",
+    "unicode-whitespace-only": "\u00a0\n\x1c\n\u3000\x0c\na\tX\n".encode(),
+    "ids-with-spaces-and-non-ascii":
+        " a b \tX y \nü\tñ\n日本\t語\n\ufeffa\tX\na\u2028b\tX\n".encode(),
+    "duplicate-pairs": b"a\tX\na\tX\nb\tX\na\tX\nb\tY\nb\tX\n",
+}
+
+#: Logs that only lenient parsing accepts.
+LENIENT_CORPUS = {
+    "three-or-more-columns": b"a\tX\t1\nb\tY\t2\t3\na\tX\t\nc\tY\t\t\n",
+}
+
+#: Logs whose parse fails; both readers must raise the same error.
+LOG_ERRORS = {
+    "fields-after-skipped-lines": b"# c\n\n  \r\na\tX\rb\n",
+    "too-many-fields": b"a\tX\n\nb\tY\tZ\n",
+    "empty-user": b"a\tX\n\tY\n",
+    "empty-item": b"a\t\n",
+    "empty-id-before-bad-fields": b"a\t\nb\n",
+    "bad-fields-before-empty-id": b"b\na\t\n",
+    "lenient-one-field": b"a\tX\t1\nb\n",
+    "empty-file": b"",
+    "comment-only": b"# one\n  # two\n\n",
+    "not-utf8-beyond-64k": b"a\tX\n" * 20_000 + b"\xffb\tY\n",
+    "truncated-utf8-at-end": "a\tX\n\u00fc".encode()[:-1],
+}
+
+#: Labels of the split corpus: spaces, non-ASCII, and a '#' that is data.
+SPLIT_LABELS = (["a b", "ü", "日本", "#c", "x"], ["X y", "ñ", "語", "Y"])
+
+SPLIT_CORPUS = {
+    "crlf-cr-and-no-final-newline": "a b\tX y\r\nü\tñ\r日本\t語\nx\tY".encode(),
+    "blank-and-whitespace-only-lines": "\n \n\t\n\u00a0\na b\tY\n\r\n".encode(),
+    "hash-label-is-data": b"#c\tY\n",
+}
+
+SPLIT_ERRORS = {
+    "unknown-user": b"a b\tX y\nzz\tY\n",
+    "unknown-item": b"a b\tQ\n",
+    "unknown-user-and-item": b"zz\tQ\n",
+    "comment-line": b"x\tY\n# comment\n",
+    "comment-with-tab": b"#z\tY\n",
+    "three-fields": b"\r\n\n \na b\tX y\tZ\n",
+    "one-field-after-blank-lines": b"\r\n\n \na b\n",
+    "not-utf8-beyond-64k": b"x\tY\n" * 20_000 + b"\xfe\n",
+}
+
+
+def write_split_dir(tmp_path, train: bytes):
+    """A split directory over SPLIT_LABELS whose train.tsv holds train."""
+    users, items = SPLIT_LABELS
+    (tmp_path / "split-manifest.json").write_text(json.dumps({
+        "m": len(users), "n": len(items), "user_labels": users, "item_labels": items,
+    }))
+    (tmp_path / "train.tsv").write_bytes(train)
+    (tmp_path / "validation.tsv").write_bytes(b"")
+    (tmp_path / "test.tsv").write_bytes(b"")
+    return tmp_path
+
+
+def reference_split_train(split_dir):
+    from conftest import reference_read_pairs_tsv
+
+    users, items = SPLIT_LABELS
+    return reference_read_pairs_tsv(
+        split_dir / "train.tsv", {lab: k for k, lab in enumerate(users)},
+        {lab: k for k, lab in enumerate(items)}, len(users), len(items), users, items,
+    )
+
+
+def assert_same_set(got, want):
+    assert (got.m, got.n) == (want.m, want.n)
+    assert (got.user_labels, got.item_labels) == (want.user_labels, want.item_labels)
+    assert np.array_equal(got.pairs, want.pairs)
+
+
+def assert_same_error(run, reference):
+    with pytest.raises(Exception) as want:
+        reference()
+    with pytest.raises(Exception) as got:
+        run()
+    assert type(got.value) is type(want.value) is DataError
+    assert str(got.value) == str(want.value)
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("lenient", [False, True])
+    @pytest.mark.parametrize("name", sorted(LOG_CORPUS))
+    def test_log_corpus(self, tmp_path, name, lenient):
+        from conftest import reference_load_interactions
+
+        path = tmp_path / "log.tsv"
+        path.write_bytes(LOG_CORPUS[name])
+        got = dm.load_interactions(path, lenient=lenient)
+        assert_same_set(got, reference_load_interactions(path, lenient=lenient))
+
+    def test_lenient_corpus(self, tmp_path):
+        from conftest import reference_load_interactions
+
+        for name, text in LENIENT_CORPUS.items():
+            path = tmp_path / f"{name}.tsv"
+            path.write_bytes(text)
+            got = dm.load_interactions(path, lenient=True)
+            assert_same_set(got, reference_load_interactions(path, lenient=True))
+            assert_same_error(lambda: dm.load_interactions(path),
+                              lambda: reference_load_interactions(path))
+
+    @pytest.mark.parametrize("name", sorted(LOG_ERRORS))
+    def test_log_errors(self, tmp_path, name):
+        from conftest import reference_load_interactions
+
+        path = tmp_path / "log.tsv"
+        path.write_bytes(LOG_ERRORS[name])
+        for lenient in (False,) if name == "too-many-fields" else (False, True):
+            assert_same_error(lambda: dm.load_interactions(path, lenient=lenient),
+                              lambda: reference_load_interactions(path, lenient=lenient))
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_CORPUS))
+    def test_split_corpus(self, tmp_path, name):
+        split = write_split_dir(tmp_path, SPLIT_CORPUS[name])
+        assert_same_set(dm.load_split(split).train, reference_split_train(split))
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_ERRORS))
+    def test_split_errors(self, tmp_path, name):
+        split = write_split_dir(tmp_path, SPLIT_ERRORS[name])
+        assert_same_error(lambda: dm.load_split(split), lambda: reference_split_train(split))
+
+    @pytest.mark.parametrize("key", ["user_labels", "item_labels"])
+    def test_repeated_manifest_label_rejected(self, tmp_path, key):
+        split = write_split_dir(tmp_path, b"a b\tX y\n")
+        manifest = json.loads((split / "split-manifest.json").read_text())
+        manifest[key][1] = manifest[key][0]
+        (split / "split-manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=key):
+            dm.load_split(split)
+
+
+#: Label text a split file can hold: no TAB, LF or CR, no surrogates, and not
+#: whitespace only (a line of two blank labels would read as a blank line).
+split_labels = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    min_size=1, max_size=6,
+).filter(str.strip)
+
+#: Log lines: pairs of labels from a small pool, blank and comment lines.
+log_lines = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["a", " b", "ü", "日 本", "#", "", "c\x0b"]),
+              st.sampled_from(["X", "y ", "ñ", "", "\u00a0"])),
+    st.sampled_from(["", "  ", "# note", "\t# tab note", "\u3000"]),
+), max_size=12)
+
+
+class TestRoundTrips:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        users=st.lists(split_labels, min_size=1, max_size=6, unique=True),
+        items=st.lists(split_labels, min_size=1, max_size=6, unique=True),
+        data_seed=st.integers(0, 2**31),
+        tag=st.sampled_from(dm.PROTOCOL_TAGS),
+    )
+    def test_save_then_load_split(self, tmp_path_factory, users, items, data_seed, tag):
+        rng = np.random.default_rng(data_seed)
+        m, n = len(users), len(items)
+        grid = rng.random((m, n)) < 0.5
+        part = rng.integers(0, 3, size=(m, n))
+        full = dm.InteractionSet(m, n, np.argwhere(grid), users, items)
+        sets = [full.replaced(np.argwhere(grid & (part == k))) for k in range(3)]
+        bundle = dm.SplitBundle(*sets, protocol_tag=tag)
+        out = tmp_path_factory.mktemp("split")
+        dm.save_split(bundle, out)
+        loaded = dm.load_split(out)
+        assert loaded.protocol_tag == tag
+        for a, b in zip(sets, (loaded.train, loaded.validation, loaded.test)):
+            assert_same_set(b, a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lines=log_lines, ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=13,
+                                          max_size=13), lenient=st.booleans())
+    def test_written_log_reads_as_reference(self, tmp_path_factory, lines, ends, lenient):
+        from conftest import reference_load_interactions
+
+        text = "".join(
+            ("\t".join(line) if isinstance(line, tuple) else line) + end
+            for line, end in zip(lines, ends)
+        )
+        path = tmp_path_factory.mktemp("log") / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference_load_interactions(path, lenient=lenient)
+        except DataError:
+            assert_same_error(lambda: dm.load_interactions(path, lenient=lenient),
+                              lambda: reference_load_interactions(path, lenient=lenient))
+            return
+        assert_same_set(dm.load_interactions(path, lenient=lenient), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
+    def test_save_then_load_world(self, tmp_path_factory, shape, data):
+        relevance = data.draw(arrays(np.float32, shape, elements=st.floats(0, 1, width=32)))
+        exposure = data.draw(arrays(np.float32, shape, elements=st.floats(
+            0, 1, width=32, exclude_min=True)))
+        world = dm.SyntheticWorld(*shape, relevance, exposure)
+        path = tmp_path_factory.mktemp("world") / "world.bin"
+        dm.save_world(world, path)
+        loaded = dm.load_world(path)
+        assert (loaded.m, loaded.n) == shape
+        assert loaded.relevance.tobytes() == relevance.tobytes()
+        assert loaded.exposure.tobytes() == exposure.tobytes()
+
+
 class TestInteractionSet:
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
             dm.InteractionSet(2, 2, np.array([[0, 1], [0, 1]]))
+        with pytest.raises(DataError, match="duplicate"):
+            dm.InteractionSet(3, 3, np.array([[2, 0], [0, 1], [2, 0]]))
+
+    def test_pair_key_overflow_rejected(self):
+        with pytest.raises(DataError, match="overflow"):
+            dm.InteractionSet(2**32, 2**31, np.zeros((0, 2)))
+
+    def test_owns_its_pairs(self):
+        pairs = np.array([[0, 0], [1, 1]])
+        iset = dm.InteractionSet(2, 2, pairs)
+        pairs[0] = [1, 0]
+        assert iset.pair_set() == {(0, 0), (1, 1)}
 
     def test_by_user_by_item_are_transposes(self, rng):
         from conftest import item_users, random_interaction_set, user_items
@@ -214,6 +446,16 @@ class TestSyntheticWorld:
         with pytest.raises(ConfigError):
             dm.generate_synthetic_world(1, 5, 1.0, seed=0)
 
+    @pytest.mark.parametrize("skew", [0.0, 2.0])
+    @pytest.mark.parametrize("m", [dm._ROW_BLOCK - 1, dm._ROW_BLOCK, dm._ROW_BLOCK + 1])
+    def test_bit_identical_to_reference_world(self, m, skew):
+        from conftest import reference_generate_synthetic_world
+
+        got = dm.generate_synthetic_world(m, 53, skew, seed=8)
+        want = reference_generate_synthetic_world(m, 53, skew, 8)
+        assert got.relevance.tobytes() == want.relevance.tobytes()
+        assert got.exposure.tobytes() == want.exposure.tobytes()
+
 
 class TestSampleClicks:
     def world(self, rel, exp):
@@ -244,13 +486,19 @@ class TestSampleClicks:
         from conftest import reference_sample_clicks
 
         # Rows whose click chance is small go through the retry loop, and
-        # some of them through the single-best-item fallback too.
-        rel = np.random.default_rng(6).random((30, 8)).astype(np.float32)
-        rel[::2] *= 0.02
-        world = self.world(rel, np.ones((30, 8)))
-        for seed in range(20):
-            want = np.argwhere(reference_sample_clicks(world, seed))
-            assert np.array_equal(dm.sample_clicks(world, seed).pairs, want)
+        # some of them through the single-best-item fallback too. The larger
+        # world spans three row blocks, with retried rows in each.
+        for m in (30, 2 * dm._ROW_BLOCK + 10):
+            rel = np.random.default_rng(6).random((m, 8)).astype(np.float32)
+            rel[::2] *= 0.02
+            world = self.world(rel, np.ones((m, 8)))
+            retried_blocks = set()
+            for seed in range(20):
+                want = np.argwhere(reference_sample_clicks(world, seed))
+                assert np.array_equal(dm.sample_clicks(world, seed).pairs, want)
+                first = rng_from(seed, 41).random((m, 8)) < rel.astype(np.float64)
+                retried_blocks |= set(np.flatnonzero(~first.any(axis=1)) // dm._ROW_BLOCK)
+            assert len(retried_blocks) == -(-m // dm._ROW_BLOCK)
 
     def test_deterministic(self):
         world = dm.generate_synthetic_world(8, 9, 1.0, seed=3)

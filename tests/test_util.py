@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from debias_cf import util
-from debias_cf.util import PARALLEL_MIN_ROWS, atomic_write, both
+from debias_cf.util import PARALLEL_MIN_ROWS, atomic_write, both, sigmoid
 
 WAIT_S = 5.0
 
@@ -133,3 +133,20 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
+
+
+def test_sigmoid_bits_match_the_gather_scatter_form():
+    from conftest import reference_sigmoid
+
+    tiny = np.finfo(np.float64).smallest_subnormal
+    nan_payloads = np.array([0x7FF0000000000001, 0xFFF4000000000001], dtype=np.uint64)
+    special = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0],
+        [tiny, -tiny, 1e-310, -1e-310, np.finfo(np.float64).tiny],
+        nan_payloads.view(np.float64),
+    ])
+    draws = np.random.default_rng(3).normal(scale=10.0, size=1_000_000)
+    for x in (special, draws):
+        assert np.array_equal(sigmoid(x).view(np.uint64), reference_sigmoid(x).view(np.uint64))
+    assert sigmoid(0.25) == float(reference_sigmoid(0.25))
+    assert type(sigmoid(0.25)) is float
