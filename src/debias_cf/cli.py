@@ -110,8 +110,7 @@ def _effective_config(defaults: dict, ns: argparse.Namespace) -> dict:
     effective = dict(defaults)
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
@@ -144,8 +143,7 @@ def _write_resolved(
     cfg: dict, command: str, out_dir: Path, name: str = "resolved-config.json"
 ) -> None:
     snapshot = {"command": command, **cfg}
-    with atomic_write(out_dir / name) as fh:
-        json.dump(snapshot, fh, indent=2, sort_keys=True)
+    atomic_write(out_dir / name, json.dumps(snapshot, indent=2, sort_keys=True))
 
 
 def _save_split(cfg: dict, command: str, interactions):
@@ -214,18 +212,16 @@ def _cmd_train(cfg: dict) -> int:
     _write_resolved(cfg, "train", out_dir)
     save_checkpoint(result.best_model, result.best_projections,
                     out_dir / "checkpoint.bin")
-    with atomic_write(out_dir / "train-log.jsonl") as fh:
-        for record in result.history:
-            fh.write(json.dumps(record) + "\n")
+    atomic_write(out_dir / "train-log.jsonl",
+                 *(json.dumps(record) + "\n" for record in result.history))
     if cfg["dump_propensities"]:
         pairs = bundle.train.pairs
         omega = trainer.learned_propensities(
             result.best_model, result.best_projections, pairs, tcfg.mu
         )
         users, items = bundle.train.labels()
-        with atomic_write(out_dir / "propensities.tsv") as fh:
-            for (u, i), w in zip(pairs, omega):
-                fh.write(f"{users[u]}\t{items[i]}\t{w:.8f}\n")
+        rows = [(users[u], items[i], f"{w:.8f}") for (u, i), w in zip(pairs.tolist(), omega)]
+        data_mod.write_tsv(out_dir / "propensities.tsv", *zip(*rows))
     log.info(
         "train: objective=%s best_epoch=%s best_val_ndcg20=%s",
         tcfg.objective, result.best_epoch,
@@ -245,8 +241,7 @@ def _write_report(cfg: dict, command: str, name: str, payload: dict) -> Path:
     (default: the run directory), then print the report."""
     out_dir = _out_dir(cfg["out_dir"] or cfg["run_dir"])
     text = json.dumps(payload, indent=2)
-    with atomic_write(out_dir / name) as fh:
-        fh.write(text)
+    atomic_write(out_dir / name, text)
     _write_resolved(cfg, command, out_dir, f"resolved-config.{command}.json")
     print(text)
     return out_dir
@@ -263,9 +258,9 @@ def _cmd_eval(cfg: dict) -> int:
     payload.pop("per_user", None)
     out_dir = _write_report(cfg, "eval", "metrics.json", payload)
     if report.per_user is not None:
-        with atomic_write(out_dir / "per-user.tsv") as fh:
-            for user, recall, ndcg in report.per_user:
-                fh.write(f"{user}\t{recall:.8f}\t{ndcg:.8f}\n")
+        users = bundle.train.labels()[0]
+        rows = [(users[u], f"{r:.8f}", f"{g:.8f}") for u, r, g in report.per_user]
+        data_mod.write_tsv(out_dir / "per-user.tsv", *zip(*rows))
     return 0
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from itertools import compress, repeat
@@ -38,10 +39,9 @@ _ROW_BLOCK = 128
 
 @dataclass
 class InteractionSet:
-    """A duplicate-free set of clicked (user, item) pairs with indexes by
-    user and by item. Pairs are kept in lexicographic order, so equal sets
-    compare equal structurally. User u owns pairs[user_ptr[u]:user_ptr[u + 1]];
-    item i owns the ascending positions item_order[item_ptr[i]:item_ptr[i + 1]]."""
+    """A duplicate-free set of clicked (user, item) pairs, indexed by user.
+    Pairs are kept in lexicographic order, so equal sets compare equal
+    structurally. User u owns pairs[user_ptr[u]:user_ptr[u + 1]]."""
 
     m: int
     n: int
@@ -49,8 +49,6 @@ class InteractionSet:
     user_labels: list[str] | None = None
     item_labels: list[str] | None = None
     user_ptr: np.ndarray = field(init=False, repr=False)  # (m + 1,) offsets
-    item_ptr: np.ndarray = field(init=False, repr=False)  # (n + 1,) offsets
-    item_order: np.ndarray = field(init=False, repr=False)  # (P,) positions
 
     def __post_init__(self):
         pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
@@ -68,10 +66,7 @@ class InteractionSet:
                 raise DataError("duplicate (user, item) pairs")
             pairs = np.stack([key // self.n, key % self.n], axis=1)
         self.pairs = pairs
-        # Item-major keys are distinct, so each item's positions (users) ascend.
-        self.item_order = np.argsort(pairs[:, 1] * self.m + pairs[:, 0])
         self.user_ptr = _offsets(pairs[:, 0], self.m)
-        self.item_ptr = _offsets(pairs[:, 1], self.n)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -83,7 +78,7 @@ class InteractionSet:
         return np.diff(self.user_ptr)
 
     def item_counts(self) -> np.ndarray:
-        return np.diff(self.item_ptr)
+        return np.bincount(self.pairs[:, 1], minlength=self.n)
 
     def labels(self) -> tuple[list[str], list[str]]:
         """User and item labels; an unlabeled side uses its dense indices."""
@@ -244,8 +239,10 @@ def split_unbiased_protocol(
     in_test = np.zeros(p_total, dtype=bool)
 
     if sampling == "per_item":
-        for item in np.flatnonzero(data.item_counts()).tolist():
-            idx = data.item_order[data.item_ptr[item] : data.item_ptr[item + 1]]
+        item_order = np.argsort(pairs[:, 1] * data.m + pairs[:, 0])  # users ascend
+        item_ptr = _offsets(pairs[:, 1], data.n)
+        for item in np.flatnonzero(np.diff(item_ptr)).tolist():
+            idx = item_order[item_ptr[item] : item_ptr[item + 1]]
             quota = _stochastic_round(test_frac * len(idx), rng)
             if quota > 0:
                 chosen = rng.choice(len(idx), size=min(quota, len(idx)), replace=False)
@@ -360,25 +357,55 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
 # ---------------------------------------------------------------------------
 
 
-def _write_pairs_tsv(path: Path, iset: InteractionSet) -> None:
-    users, items = iset.labels()
-    cells = np.empty((len(iset), 4), dtype=object)
-    cells[:, 0] = np.array(users, dtype=object)[iset.pairs[:, 0]]
-    cells[:, 1] = "\t"
-    cells[:, 2] = np.array(items, dtype=object)[iset.pairs[:, 1]]
-    cells[:, 3] = "\n"
-    with atomic_write(path) as fh:
-        fh.write("".join(cells.ravel().tolist()))
+def write_tsv(path, *columns) -> None:
+    """Write equal-length columns of str as rows of TAB-separated fields,
+    each ending in LF, with one atomic_write call."""
+    cells = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        cells[:, 2 * j] = column
+    cells[:, 1::2] = "\t"
+    cells[:, -1] = "\n"
+    atomic_write(path, "".join(cells.ravel().tolist()))
+
+
+_BAD_LABEL_CHAR = re.compile("[\t\n\r\ud800-\udfff]")  # separators; surrogates lack UTF-8
+
+
+def _check_labels(sets: dict) -> None:
+    """DataError naming the set and the label unless load_split reads every
+    pair back: labels are str without a _BAD_LABEL_CHAR, and no pair has
+    two blank labels (a blank line). Each label list is checked once."""
+    seen = {}  # id of a label list -> (the list, flags of its blank labels)
+    for name, iset in sets.items():
+        blank = []
+        for labels in iset.labels():
+            if id(labels) not in seen:
+                if not all(map(isinstance, labels, repeat(str))) or _BAD_LABEL_CHAR.search(
+                        "".join(labels)):
+                    bad = next(x for x in labels
+                               if not isinstance(x, str) or _BAD_LABEL_CHAR.search(x))
+                    raise DataError(f"{name} set: label {bad!r} is not a str free of "
+                                    "TAB, LF, CR and surrogates")
+                seen[id(labels)] = labels, np.array([*map(str.strip, labels)], object) == ""
+            blank.append(seen[id(labels)])
+        (users, user_blank), (items, item_blank) = blank
+        if (both := user_blank[iset.pairs[:, 0]] & item_blank[iset.pairs[:, 1]]).any():
+            u, i = iset.pairs[np.argmax(both)]
+            raise DataError(f"{name} set: user label {users[u]!r} and item label "
+                            f"{items[i]!r} are both blank")
 
 
 def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
     """Persist a split as train/validation/test TSVs plus a JSON manifest
-    carrying dimensions, the id mappings, and the split provenance."""
+    carrying dimensions, the id mappings, and the split provenance. Labels
+    that load_split could not read back raise DataError before any write."""
+    sets = {"train": bundle.train, "validation": bundle.validation, "test": bundle.test}
+    _check_labels(sets)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_pairs_tsv(out / "train.tsv", bundle.train)
-    _write_pairs_tsv(out / "validation.tsv", bundle.validation)
-    _write_pairs_tsv(out / "test.tsv", bundle.test)
+    for name, iset in sets.items():
+        users, items = (np.array(labels, dtype=object) for labels in iset.labels())
+        write_tsv(out / f"{name}.tsv", users[iset.pairs[:, 0]], items[iset.pairs[:, 1]])
     ref = bundle.train
     manifest = {
         "m": ref.m,
@@ -389,8 +416,7 @@ def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
         "user_labels": ref.user_labels,
         "item_labels": ref.item_labels,
     }
-    with atomic_write(out / "split-manifest.json") as fh:
-        fh.write(json.dumps(manifest, indent=2))
+    atomic_write(out / "split-manifest.json", json.dumps(manifest, indent=2))
 
 
 def load_split(split_dir) -> SplitBundle:
@@ -400,8 +426,7 @@ def load_split(split_dir) -> SplitBundle:
     if not manifest_path.exists():
         raise DataError(f"{split_dir}: missing split-manifest.json")
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{manifest_path}: not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
@@ -436,16 +461,13 @@ def load_split(split_dir) -> SplitBundle:
 def save_world(world: SyntheticWorld, path) -> None:
     """Binary world file: magic, version, dims, then the relevance and
     exposure matrices as row-major little-endian float32."""
-    with atomic_write(path, "wb") as fh:
-        fh.write(WORLD_MAGIC)
-        fh.write(struct.pack("<IQQ", WORLD_VERSION, world.m, world.n))
-        fh.write(np.ascontiguousarray(world.relevance, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(world.exposure, dtype="<f4").tobytes())
+    atomic_write(path, WORLD_MAGIC, struct.pack("<IQQ", WORLD_VERSION, world.m, world.n),
+                 np.ascontiguousarray(world.relevance, dtype="<f4").tobytes(),
+                 np.ascontiguousarray(world.exposure, dtype="<f4").tobytes())
 
 
 def load_world(path) -> SyntheticWorld:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     head_len = 4 + 4 + 16
     if len(raw) < head_len:
         raise DataError(f"{path}: truncated world header")
@@ -454,12 +476,7 @@ def load_world(path) -> SyntheticWorld:
     version, m, n = struct.unpack("<IQQ", raw[4:head_len])
     if version != WORLD_VERSION:
         raise DataError(f"{path}: unsupported world version {version}")
-    want = head_len + 2 * 4 * m * n
-    if len(raw) != want:
+    if len(raw) != head_len + 2 * 4 * m * n:
         raise DataError(f"{path}: truncated or oversized world payload")
-    cells = m * n
-    rel = np.frombuffer(raw, dtype="<f4", count=cells, offset=head_len)
-    exp = np.frombuffer(raw, dtype="<f4", count=cells, offset=head_len + 4 * cells)
-    return SyntheticWorld(
-        int(m), int(n), rel.reshape(m, n).copy(), exp.reshape(m, n).copy()
-    )
+    rel, exp = np.frombuffer(raw, dtype="<f4", offset=head_len).reshape(2, m, n).copy()
+    return SyntheticWorld(int(m), int(n), rel, exp)

@@ -13,6 +13,7 @@ import logging
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -167,18 +168,14 @@ def save_checkpoint(model: EmbeddingTable, projections: ProjectionPair, path) ->
     header = CHECKPOINT_MAGIC + struct.pack(
         "<IQQQ", CHECKPOINT_VERSION, model.m, model.n, model.d
     )
-    with atomic_write(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    atomic_write(path, header, payload, struct.pack("<I", zlib.crc32(payload)))
 
 
 def load_checkpoint(path) -> tuple[EmbeddingTable, ProjectionPair]:
     """Read a checkpoint written by save_checkpoint; any structural damage
     (bad magic, unknown version, truncation, CRC mismatch) or a non-finite
     value raises DataError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = Path(path).read_bytes()
     head_len = 4 + 4 + 3 * 8
     if len(raw) < head_len:
         raise DataError(f"{path}: truncated checkpoint header")
@@ -197,17 +194,9 @@ def load_checkpoint(path) -> tuple[EmbeddingTable, ProjectionPair]:
     (crc,) = struct.unpack("<I", raw[head_len + payload_len :])
     if crc != zlib.crc32(payload):
         raise DataError(f"{path}: checkpoint CRC mismatch")
-    mats = []
-    offset = 0
-    for cnt in counts:
-        mats.append(np.frombuffer(payload, dtype="<f4", count=cnt, offset=offset))
-        offset += 4 * cnt
-    if not all(np.isfinite(mat).all() for mat in mats):
+    flat = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(flat).all():
         raise DataError(f"{path}: checkpoint holds non-finite values")
-    user = mats[0].reshape(m, d).copy()
-    item = mats[1].reshape(n, d).copy()
-    m_user = mats[2].reshape(d, d).copy()
-    m_item = mats[3].reshape(d, d).copy()
-    return EmbeddingTable(int(m), int(n), int(d), user, item), ProjectionPair(
-        m_user, m_item
-    )
+    user, item, m_user, m_item = (  # counts are rows x d each
+        part.reshape(-1, d).copy() for part in np.split(flat, np.cumsum(counts)[:-1]))
+    return EmbeddingTable(int(m), int(n), int(d), user, item), ProjectionPair(m_user, m_item)

@@ -8,7 +8,6 @@ import contextvars
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,19 +38,18 @@ def sigmoid(x):
     return out
 
 
-@contextmanager
-def atomic_write(path, mode: str = "w"):
-    """Open a temporary file beside path for writing ("w" as UTF-8 text,
-    or "wb"). It replaces path only once the block ends without an error;
-    on an error it is removed and path keeps its previous contents. There
-    is no fsync: a reader never sees a half-written file, but a power loss
-    may lose the last write. A symlink is written through."""
-    encoding = None if "b" in mode else "utf-8"
+def atomic_write(path, *parts) -> None:
+    """Write parts, all str (as UTF-8) or all bytes-like, to a temporary
+    file beside path, then rename it over path. On any error the temporary
+    file is removed and path keeps its previous contents. There is no
+    fsync: a reader never sees a half-written file, but a power loss may
+    lose the last write. A symlink is written through."""
+    text = any(isinstance(part, str) for part in parts)
     path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, encoding=encoding) as fh:
-            yield fh
+        with open(tmp, "w" if text else "wb", encoding="utf-8" if text else None) as fh:
+            fh.writelines(parts)  # a part of the other kind raises TypeError
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

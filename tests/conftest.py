@@ -230,11 +230,6 @@ def user_items(iset, u):
     return iset.pairs[iset.user_ptr[u] : iset.user_ptr[u + 1], 1]
 
 
-def item_users(iset, i):
-    """Item i's users, ascending: its CSR range of item_order."""
-    return iset.pairs[iset.item_order[iset.item_ptr[i] : iset.item_ptr[i + 1]], 0]
-
-
 def oracle_index(iset):
     """by_user, by_item, user counts and item counts from one boolean scan
     of all pairs per user and per item."""

@@ -149,6 +149,27 @@ class TestPipeline:
             user, item, _ = row.split("\t")
             assert f"{user}\t{item}" in train_rows
 
+    def test_per_user_report_names_users_by_label(self, tmp_path, capsys):
+        from debias_cf.data import load_split
+        from debias_cf.embedding import load_checkpoint
+        from debias_cf.evaluation import evaluate_topk
+
+        out = tmp_path / "run"
+        assert main(["split", "--data", str(write_log(tmp_path)), "--out-dir", str(out),
+                     "--quiet"]) == 0
+        assert main(["train", "--data-dir", str(out), "--out-dir", str(out), "--d", "4",
+                     "--epochs", "1", "--quiet"]) == 0
+        assert main(["eval", "--run-dir", str(out), "--data-dir", str(out), "--per-user",
+                     "--quiet"]) == 0
+        n_eval = json.loads(capsys.readouterr().out)["n_eval_users"]
+        bundle = load_split(out)
+        report = evaluate_topk(load_checkpoint(out / "checkpoint.bin")[0], bundle.train,
+                               bundle.test, k=20, mask_extra=bundle.validation, per_user=True)
+        labels = json.loads((out / "split-manifest.json").read_text())["user_labels"]
+        rows = (out / "per-user.tsv").read_text().splitlines()
+        assert len(rows) == n_eval
+        assert rows == [f"{labels[u]}\t{r:.8f}\t{g:.8f}" for u, r, g in report.per_user]
+
 
 class TestErrors:
     def test_negative_lr_is_usage_error(self, tmp_path):

@@ -83,35 +83,40 @@ class TestBoth:
 
 
 class TestAtomicWrite:
-    @pytest.mark.parametrize("mode, old, new", [("w", "old\n", "new\n"),
-                                                ("wb", b"old", b"new")])
-    def test_replaces_the_file_on_success(self, tmp_path, mode, old, new):
+    @pytest.mark.parametrize("old, new, written", [
+        (("old\n",), ("ü", "\n"), "ü\n".encode()),
+        ((b"old",), (b"new", bytearray(b"!"), memoryview(b"?")), b"new!?"),
+    ], ids=["text", "bytes"])
+    def test_replaces_the_file_on_success(self, tmp_path, old, new, written):
         path = tmp_path / "artifact"
-        with atomic_write(path, mode) as fh:
-            fh.write(old)
-        with atomic_write(path, mode) as fh:
-            fh.write(new)
-        assert (path.read_bytes() if "b" in mode else path.read_text()) == new
+        atomic_write(path, *old)
+        atomic_write(path, *new)
+        assert path.read_bytes() == written
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
     def test_writer_that_raises_leaves_previous_file_and_no_temp(self, tmp_path):
         path = tmp_path / "artifact.tsv"
         path.write_text("previous\n")
-        with pytest.raises(RuntimeError, match="part-way"):
-            with atomic_write(path) as fh:
-                fh.write("half of the new")
-                fh.flush()
-                raise RuntimeError("part-way")
+        with pytest.raises(UnicodeEncodeError):  # fails after the first part
+            atomic_write(path, "half of the new", "\ud800")
         assert path.read_text() == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+
+    @pytest.mark.parametrize("parts", [("text", b"bytes"), (b"bytes", "text")])
+    def test_mixed_text_and_bytes_raise_type_error(self, tmp_path, parts):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous")
+        with pytest.raises(TypeError):
+            atomic_write(path, *parts)
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
     def test_symlink_is_written_through(self, tmp_path):
         target = tmp_path / "target.json"
         target.write_text("old")
         link = tmp_path / "link.json"
         link.symlink_to(target)
-        with atomic_write(link) as fh:
-            fh.write("new")
+        atomic_write(link, "new")
         assert link.is_symlink()
         assert target.read_text() == "new"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
@@ -124,7 +129,7 @@ class TestAtomicWrite:
         em.save_checkpoint(model, proj, path)
         before = path.read_bytes()
 
-        def crc32(payload):  # computed after the header and payload are written
+        def crc32(payload):  # computed before anything is written
             raise OSError("disk full")
 
         monkeypatch.setattr(em.zlib, "crc32", crc32)
