@@ -118,17 +118,15 @@ def normalize_rows_full(
     The norms and mask feed the backward pass in normalize_rows_backward.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    # np.linalg.norm(x, axis=1) computes exactly this, with more overhead
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
     degenerate = norms < DEGENERATE_NORM
-    if degenerate.any():
-        log.warning(
-            "%d degenerate embedding row(s) normalized to e1", int(degenerate.sum())
-        )
-    safe = np.where(degenerate, 1.0, norms)
-    out = x / safe[:, None]
-    if degenerate.any():
-        out[degenerate] = 0.0
-        out[degenerate, 0] = 1.0
+    if not degenerate.any():
+        return x / norms[:, None], norms, degenerate
+    log.warning("%d degenerate embedding row(s) normalized to e1", int(degenerate.sum()))
+    out = x / np.where(degenerate, 1.0, norms)[:, None]
+    out[degenerate] = 0.0
+    out[degenerate, 0] = 1.0
     return out, norms, degenerate
 
 
@@ -143,10 +141,11 @@ def normalize_rows_backward(
     Degenerate rows took the constant e1 branch, so their gradient is zero.
     """
     dots = np.einsum("bd,bd->b", grad_unit, unit)
-    safe = np.where(degenerate, 1.0, norms)
-    grad = (grad_unit - dots[:, None] * unit) / safe[:, None]
-    if degenerate.any():
-        grad[degenerate] = 0.0
+    grad = grad_unit - dots[:, None] * unit
+    if not degenerate.any():
+        return np.divide(grad, norms[:, None], out=grad)
+    grad /= np.where(degenerate, 1.0, norms)[:, None]
+    grad[degenerate] = 0.0
     return grad
 
 

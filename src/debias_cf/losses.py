@@ -105,7 +105,7 @@ def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
     # vecs @ vecs.T takes BLAS's symmetric (syrk) path; a general product
     # of vecs with a transposed copy can differ in the last bit.
     kernel = vecs @ vecs.T
-    sqn = np.diagonal(kernel).copy()
+    sqn = kernel.diagonal().copy()
     tmp = np.empty((min(UNIFORMITY_BLOCK_ROWS, b), b))
     for r0 in range(0, b, UNIFORMITY_BLOCK_ROWS):
         r1 = min(r0 + UNIFORMITY_BLOCK_ROWS, b)
@@ -117,7 +117,7 @@ def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
         np.maximum(blk, 0.0, out=blk)
         blk *= -2.0
         np.exp(blk, out=blk)
-    np.fill_diagonal(kernel, 0.0)
+    kernel.flat[:: b + 1] = 0.0  # np.fill_diagonal without its checks
     total = kernel.sum()
     value = float(math.log(total / (b * (b - 1))))
     grad = (-8.0 / total) * (kernel.sum(axis=1)[:, None] * vecs - kernel @ vecs)
@@ -150,6 +150,17 @@ def ideal_alignment_loss(
 # ---------------------------------------------------------------------------
 
 
+def _scatter_rows(inv: np.ndarray, pair_grads: np.ndarray, rows: int) -> np.ndarray:
+    """Sum of the pair gradient rows per entity row: row inv[k] receives
+    pair_grads[k]. One flat bincount adds each cell's terms in pair order
+    starting from +0.0, as np.add.at into zeros does, so the result is
+    bit-identical to it."""
+    d = pair_grads.shape[1]
+    flat = np.bincount((inv[:, None] * d + np.arange(d)).ravel(),
+                       weights=pair_grads.ravel(), minlength=rows * d)
+    return flat.reshape(rows, d)
+
+
 def _accumulate_side(
     inv: np.ndarray,
     pair_grads: np.ndarray,
@@ -166,8 +177,7 @@ def _accumulate_side(
     other side, so `both` may run the two sides at once.
     """
     rows_norm, norms, degenerate = unit
-    grad = np.zeros_like(rows_norm)
-    np.add.at(grad, inv, pair_grads)
+    grad = _scatter_rows(inv, pair_grads, len(rows_norm))
     unif = 0.0
     if rows_norm.shape[0] >= 2:
         unif, g_unif = uniformity_value_grad(rows_norm)
@@ -281,16 +291,9 @@ def ipw_through_projection_grads(
     b = len(u_inv)
     dl_ds = -(base_sq_dists / b) * (1.0 - omega_raw) / omega_raw
     dl_ds = np.where(clip_active, 0.0, dl_ds)
-    pu_pairs = forward.proj_user_norm[u_inv]
-    pi_pairs = forward.proj_item_norm[i_inv]
-    grad_pu = np.zeros_like(forward.proj_user_norm)
-    grad_pi = np.zeros_like(forward.proj_item_norm)
-    np.add.at(grad_pu, u_inv, dl_ds[:, None] * pi_pairs)
-    np.add.at(grad_pi, i_inv, dl_ds[:, None] * pu_pairs)
-    grad_zu = normalize_rows_backward(
-        forward.proj_user_norm, forward.zu_norms, forward.zu_deg, grad_pu
-    )
-    grad_zi = normalize_rows_backward(
-        forward.proj_item_norm, forward.zi_norms, forward.zi_deg, grad_pi
-    )
+    pu, pi = forward.proj_user_norm, forward.proj_item_norm
+    grad_pu = _scatter_rows(u_inv, dl_ds[:, None] * pi[i_inv], len(pu))
+    grad_pi = _scatter_rows(i_inv, dl_ds[:, None] * pu[u_inv], len(pi))
+    grad_zu = normalize_rows_backward(pu, forward.zu_norms, forward.zu_deg, grad_pu)
+    grad_zi = normalize_rows_backward(pi, forward.zi_norms, forward.zi_deg, grad_pi)
     return grad_zu.T @ base_user_norm, grad_zi.T @ base_item_norm

@@ -89,8 +89,8 @@ class TrainConfig:
 
 
 #: Rows of a tensor per pass of Adam's bias-corrected update; the block's
-#: float64 temporaries stay in L2 cache.
-ADAM_BLOCK_ROWS = 256
+#: two float64 temporaries stay in L2 cache.
+ADAM_BLOCK_ROWS = 512
 
 
 class Adam:
@@ -148,19 +148,29 @@ class Adam:
             m[rows] += (1.0 - b1) * g
             v *= b2
             v[rows] += (1.0 - b2) * g * g
+            den_buf = np.empty((min(ADAM_BLOCK_ROWS, len(p)),) + p.shape[1:])
+            upd_buf = np.empty_like(den_buf)
             for r0 in range(0, len(p), ADAM_BLOCK_ROWS):
                 blk = slice(r0, r0 + ADAM_BLOCK_ROWS)
                 p_blk = p[blk]
-                den = v[blk] / bc2
+                den, upd = den_buf[: len(p_blk)], upd_buf[: len(p_blk)]
+                np.divide(v[blk], bc2, out=den)
                 np.sqrt(den, out=den)
                 den += self.eps
-                upd = m[blk] / bc1
-                upd /= den
+                if bc1 == 1.0:  # from step 356 on; m / 1.0 is m
+                    np.divide(m[blk], den, out=upd)
+                else:
+                    np.divide(m[blk], bc1, out=upd)
+                    upd /= den
                 upd *= self.lr
                 # (p - lr * update) - (lr * wd) * p, in float64
                 np.subtract(p_blk, upd, out=upd)
-                np.multiply(lr_wd, p_blk, out=den, dtype=np.float64)
-                upd -= den
+                if lr_wd == 0.0:
+                    # p finite: x - 0*p is x + 0.0, signed zeros included
+                    upd += 0.0
+                else:
+                    np.multiply(lr_wd, p_blk, out=den, dtype=np.float64)
+                    upd -= den
                 p_blk[...] = upd
             out[name] = p
         return out

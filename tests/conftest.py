@@ -175,6 +175,14 @@ def reference_relation_param_grads(
     return terms, grad_mu, grad_mi, forward
 
 
+def reference_scatter_rows(inv, pair_grads, rows):
+    """Per-row sums of pair gradient rows: np.add.at into zeros, which adds
+    each pair to row inv[k] in pair order starting from +0.0."""
+    out = np.zeros((rows, pair_grads.shape[1]))
+    np.add.at(out, inv, pair_grads)
+    return out
+
+
 def reference_adam_step(opt, params, grads):
     """Dense Adam on float64 copies of the parameters, with row gradients
     zero-filled to the full table. opt is a trainer.Adam used only for its

@@ -22,6 +22,7 @@ from conftest import (
     central_difference,
     max_relative_error,
     reference_relation_param_grads,
+    reference_scatter_rows,
     reference_uniformity_value_grad,
 )
 
@@ -279,6 +280,55 @@ def relation_terms(batch, lambda_rel, m_user=None, m_item=None):
         lambda_rel,
     )
     return terms
+
+
+class TestScatterRows:
+    """The bincount scatter and its two callers give the bytes of the
+    np.add.at oracle: repeated rows, a -0.0 pair gradient, a one-row side."""
+
+    def test_helper_matches_add_at(self, rng):
+        inv = np.array([2, 0, 2, 1, 0, 2, 3])
+        pair_grads = rng.normal(size=(7, 3))
+        pair_grads[3] = -0.0  # row 1's only pair: +0.0 + -0.0 is +0.0
+        for rows_of, rows in ((inv, 4), (np.zeros(7, dtype=np.intp), 1)):
+            got = losses._scatter_rows(rows_of, pair_grads, rows)
+            assert got.shape == (rows, 3)
+            assert got.tobytes() == reference_scatter_rows(rows_of, pair_grads, rows).tobytes()
+        assert not np.signbit(losses._scatter_rows(inv, pair_grads, 4)[1]).any()
+
+    @pytest.mark.parametrize("n_u", [1, 5])
+    def test_callers_match_add_at(self, rng, monkeypatch, n_u):
+        b, d = 12, 3
+        u_inv = rng.permutation(np.r_[np.arange(n_u), rng.integers(0, n_u, b - n_u)])
+        i_inv = rng.permutation(np.r_[np.arange(4), rng.integers(0, 4, b - 4)])
+        pair_grads = rng.normal(size=(b, d))
+        pair_grads[3] = -0.0
+        base_u = normalize_rows(rng.normal(size=(n_u, d)))
+        base_i = normalize_rows(rng.normal(size=(4, d)))
+        forward = losses.relation_forward(
+            base_u, base_i, np.eye(d) + 0.2 * rng.normal(size=(d, d)), np.eye(d)
+        )
+        unit_u = (forward.proj_user_norm, forward.zu_norms, forward.zu_deg)
+        omega = rng.uniform(0.05, 0.9, len(u_inv))
+        ipw_args = (forward, base_u, base_i, u_inv, i_inv, omega, omega <= 0.1,
+                    rng.uniform(0.0, 2.0, len(u_inv)))
+
+        def run():
+            grad, unif = losses._accumulate_side(u_inv, pair_grads, unit_u, 0.7)
+            return [grad, np.float64(unif), *losses.ipw_through_projection_grads(*ipw_args)]
+
+        got = run()
+        calls = []
+
+        def oracle(inv, pair_grads, rows):
+            calls.append(rows)
+            return reference_scatter_rows(inv, pair_grads, rows)
+
+        monkeypatch.setattr(losses, "_scatter_rows", oracle)
+        want = run()
+        assert calls == [n_u, n_u, 4]
+        for x, y in zip(got, want, strict=True):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestRelationSpace:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import math
 import threading
@@ -118,6 +119,32 @@ class TestAdam:
                 assert np.array_equal(params[name], expected[name]), (name, step)
                 assert np.array_equal(opt.m[name], ref.m[name]), (name, step)
                 assert np.array_equal(opt.v[name], ref.v[name]), (name, step)
+
+    def test_zero_decay_steps_byte_identical_past_unit_bias_correction(self):
+        # Compared as bytes, so a -0.0 where the reference has +0.0 fails.
+        # init_scale=0 leaves -0.0 wherever the draw was negative, and 400
+        # steps pass step 356, from which 1 - beta1**t rounds to 1.0.
+        rng = np.random.default_rng(5)
+        block, d = trainer.ADAM_BLOCK_ROWS, 4
+        model, proj = dc.init_model(block + 7, 9, d, seed=0, scale=0.0)
+        params = {"user_vecs": model.user_vecs, "item_vecs": model.item_vecs,
+                  "m_user": proj.m_user}
+        assert np.signbit(params["user_vecs"]).any()
+        shapes = {k: p.shape for k, p in params.items()}
+        opt, ref = Adam(shapes, lr=0.01), Adam(shapes, lr=0.01)
+        expected = {k: p.copy() for k, p in params.items()}
+        for step in range(400):
+            grads = {"m_user": rng.normal(size=(d, d))}
+            for name in ("user_vecs", "item_vecs"):
+                rows = np.unique(rng.integers(0, shapes[name][0], size=5))
+                grads[name] = (rows, rng.normal(size=(len(rows), d)))
+            expected = reference_adam_step(ref, expected, grads)
+            opt.step(params, grads)
+            for name in shapes:
+                assert params[name].tobytes() == expected[name].tobytes(), (name, step)
+                assert opt.m[name].tobytes() == ref.m[name].tobytes(), (name, step)
+                assert opt.v[name].tobytes() == ref.v[name].tobytes(), (name, step)
+        assert 1.0 - Adam.beta1**opt.t == 1.0
 
 
 class TestTrainStep:
@@ -421,6 +448,61 @@ class TestTrain:
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
             small_config(**{name: value}).validate()
+
+
+#: SHA-256 of the four float32 tensors after a short fixed `train` on
+#: `toy_bundle(seed=5, m=60, n=80)` (875 training pairs), as trained before
+#: the training step's scatter and Adam update were streamlined. The bytes
+#: depend on the rounding of numpy's exp and sqrt and of the BLAS matrix
+#: products (x86-64, numpy 2.4, OpenBLAS 0.3); another build may round
+#: differently.
+PINNED_TRAIN_SHA256 = {
+    "directau-b128": {
+        "user_vecs": "13b59f088320473e923276826e370c3222b5bc68f1e91d5fa45a8088421e851d",
+        "item_vecs": "3e62e329940cd4b7eabbc88cae1b18bd39d15c7552c14816f09a59604237341c",
+        "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
+        "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
+    },
+    "uctrl": {
+        "user_vecs": "3fedf26dd5e76756b937b0d00893dd1418428bc5d50a0aa3fab07cc0c6e233fb",
+        "item_vecs": "eb7de553b35c2252d216a170722485f9226b83c5315de1e421db08649e730f06",
+        "m_user": "02c450e9bc453952c15dfc6077c27f9ecdc914e55f3fa13c22bdf2d583e8cfca",
+        "m_item": "cb34a57d5138ef8afa2ae82151c89f24d2e1aa2ef54bd0d0a3460ebd8ed72709",
+    },
+    "uctrl-grad-through": {
+        "user_vecs": "877af8ea64a26dfa280d182ceacf980b301326178d1bafd58e5a9f4217869729",
+        "item_vecs": "ab922feddb3aead2e12dec56ed7281fdc30e0933fb2dcca62c040906e16b5d6c",
+        "m_user": "e97ac0e87ccfe3536a5dd9ca06cb3c0714569643ca88182efb13c2199a67e022",
+        "m_item": "dacf496cb09087385a0976ca98c18856916ea8264d7e73d42c421bb960e3182c",
+    },
+}
+
+PINNED_TRAIN_CONFIGS = {
+    # 7 batches for 55 epochs: 385 steps, past step 356, from which
+    # 1 - beta1**t rounds to 1.0; weight_decay stays 0.
+    "directau-b128": dict(objective="directau", batch_size=128, epochs=55),
+    "uctrl": dict(objective="uctrl", weight_decay=1e-3),
+    "uctrl-grad-through": dict(objective="uctrl", propensity_grad_through=True),
+}
+
+
+class TestPinnedTraining:
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        _, bundle = toy_bundle(seed=5, m=60, n=80)
+        return bundle
+
+    @pytest.mark.parametrize("case", sorted(PINNED_TRAIN_CONFIGS))
+    def test_trained_tensors_are_pinned(self, bundle, case):
+        config = small_config(d=8, seed=2, eval_every=100, **PINNED_TRAIN_CONFIGS[case])
+        state = train(bundle, config).state
+        if case == "directau-b128":
+            assert state.opt.t > 356
+        digests = {
+            name: hashlib.sha256(np.ascontiguousarray(t, dtype="<f4").tobytes()).hexdigest()
+            for name, t in trainer._tensors(state.model, state.projections).items()
+        }
+        assert digests == PINNED_TRAIN_SHA256[case]
 
 
 class TestConcurrentSides:
