@@ -444,17 +444,29 @@ def load_split(split_dir) -> SplitBundle:
             raise DataError(f"{manifest_path}: {key} must be a list or null")
         if labels is not None and len(labels) != size:
             raise DataError(f"{manifest_path}: {key} must hold {size} labels")
+        if labels is not None and not set(map(type, labels)) <= {str}:
+            raise DataError(f"{manifest_path}: {key} must hold strings")
         ids.append(dict(zip(labels or map(str, range(size)), range(size))))
         if len(ids[-1]) < size:
             raise DataError(f"{manifest_path}: {key} repeats a label")
     protocol_tag = manifest.get("protocol_tag", "preprovided")
     if protocol_tag not in PROTOCOL_TAGS:
         raise DataError(f"{manifest_path}: unknown protocol tag {protocol_tag!r}")
+    names = ("train", "validation", "test")
     sets = [
         InteractionSet(m, n, np.stack(_read_tsv(root / f"{name}.tsv", ids)[:2], axis=1),
                        manifest["user_labels"], manifest["item_labels"])
-        for name in ("train", "validation", "test")
+        for name in names
     ]
+    keys = [s.pairs[:, 0] * n + s.pairs[:, 1] for s in sets]
+    stacked = np.sort(np.concatenate(keys))
+    shared = stacked[1:][stacked[1:] == stacked[:-1]]
+    if len(shared):  # each set is duplicate-free, so two sets hold this pair
+        key = shared[0]
+        first, second = [name for name, k in zip(names, keys) if (k == key).any()][:2]
+        user_labels, item_labels = sets[0].labels()
+        raise DataError(f"{root}: {first}.tsv and {second}.tsv share the pair "
+                        f"({user_labels[key // n]!r}, {item_labels[key % n]!r})")
     return SplitBundle(*sets, protocol_tag=protocol_tag)
 
 

@@ -19,11 +19,14 @@ projections of frozen base embeddings trains the projection matrices that
 produce learned propensities; dau_param_grads computes it in both spaces.
 
 Gradient conventions: the low-level kernels differentiate with respect to
-their normalized inputs; the parameter-gradient entry points used by the
-trainer (dau_param_grads, relation_param_grads) apply the chain rule
-through L2 normalization and return gradients with respect to raw
-embedding rows or projection matrices, so the optimizer never needs to
-know about normalization.
+their normalized inputs. The entry points the trainer calls take each
+side's rows as the (unit rows, norms, degenerate) triple of
+embedding.normalize_rows_full: dau_param_grads takes one per side, and
+relation_forward returns the projections as such a pair for
+relation_param_grads and ipw_through_projection_grads. They apply the
+chain rule through L2 normalization and return gradients with respect to
+raw embedding rows or projection matrices, so the optimizer never needs
+to know about normalization.
 """
 
 from __future__ import annotations
@@ -187,52 +190,32 @@ def _accumulate_side(
 
 
 def dau_param_grads(
-    user_rows: np.ndarray | None,
-    item_rows: np.ndarray | None,
+    user_unit: tuple[np.ndarray, np.ndarray, np.ndarray],
+    item_unit: tuple[np.ndarray, np.ndarray, np.ndarray],
     u_inv: np.ndarray,
     i_inv: np.ndarray,
     weights: np.ndarray,
     gamma: float,
-    unit: tuple[tuple, tuple] | None = None,
 ) -> tuple[LossTerms, np.ndarray, np.ndarray]:
     """Objective value and gradients w.r.t. raw unique rows, in either
     space: the CF embeddings (weights from the propensities, coefficient
     gamma) or the relation-space projections (unit weights, coefficient
     lambda_rel, called by relation_param_grads).
 
-    user_rows/item_rows hold one raw row per distinct batch entity; u_inv
-    and i_inv map each pair to its row. The returned gradients include the
-    chain rule through L2 normalization. A caller that has already
-    normalized the rows passes the two normalize_rows_full results as
-    unit, so the rows are not normalized (and degenerate rows not logged)
-    a second time; the rows arguments are then not read.
+    user_unit/item_unit are the normalize_rows_full results of one raw row
+    per distinct batch entity; u_inv and i_inv map each pair to its row.
+    The returned gradients include the chain rule through L2
+    normalization.
     """
-    if unit is None:
-        unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
-    u_unit, i_unit = unit
-    un, it = u_unit[0], i_unit[0]
+    un, it = user_unit[0], item_unit[0]
     align, g_pu, g_pi = alignment_value_grad(un[u_inv], it[i_inv], weights)
     (grad_user, uu), (grad_item, ui) = both(
-        lambda: _accumulate_side(u_inv, g_pu, u_unit, gamma),
-        lambda: _accumulate_side(i_inv, g_pi, i_unit, gamma),
+        lambda: _accumulate_side(u_inv, g_pu, user_unit, gamma),
+        lambda: _accumulate_side(i_inv, g_pi, item_unit, gamma),
         min(len(un), len(it)),
     )
     total = align + gamma * (uu + ui) / 2.0
     return LossTerms(align, uu, ui, total), grad_user, grad_item
-
-
-@dataclass
-class RelationForward:
-    """Intermediates of the relation-space forward pass. The normalized
-    projections give the learned propensities; the norms feed the backward
-    passes."""
-
-    proj_user_norm: np.ndarray  # (U, d) normalized projected user rows
-    proj_item_norm: np.ndarray  # (I, d)
-    zu_norms: np.ndarray
-    zu_deg: np.ndarray
-    zi_norms: np.ndarray
-    zi_deg: np.ndarray
 
 
 def relation_forward(
@@ -240,11 +223,13 @@ def relation_forward(
     base_item_norm: np.ndarray,
     m_user: np.ndarray,
     m_item: np.ndarray,
-) -> RelationForward:
-    """Project normalized base rows into the relation space and normalize."""
-    pu, zu_norms, zu_deg = normalize_rows_full(project_rows(base_user_norm, m_user))
-    pi, zi_norms, zi_deg = normalize_rows_full(project_rows(base_item_norm, m_item))
-    return RelationForward(pu, pi, zu_norms, zu_deg, zi_norms, zi_deg)
+) -> tuple[tuple, tuple]:
+    """Project normalized base rows into the relation space and normalize:
+    the normalize_rows_full results of the user and the item projections.
+    Their unit rows give the learned propensities; the norms feed the
+    backward passes."""
+    return (normalize_rows_full(project_rows(base_user_norm, m_user)),
+            normalize_rows_full(project_rows(base_item_norm, m_item)))
 
 
 def relation_param_grads(
@@ -255,45 +240,45 @@ def relation_param_grads(
     m_user: np.ndarray,
     m_item: np.ndarray,
     lambda_rel: float,
-) -> tuple[LossTerms, np.ndarray, np.ndarray, RelationForward]:
+) -> tuple[LossTerms, np.ndarray, np.ndarray, tuple[tuple, tuple]]:
     """Relation-space objective and gradients w.r.t. the projection
     matrices only; the base normalized embeddings are constants here. The
     objective is dau_param_grads on the projected rows z = base @ M.T, so
-    dL/dM = grad_z.T @ base."""
+    dL/dM = grad_z.T @ base. Also returns the relation_forward pair."""
     forward = relation_forward(base_user_norm, base_item_norm, m_user, m_item)
-    unit = ((forward.proj_user_norm, forward.zu_norms, forward.zu_deg),
-            (forward.proj_item_norm, forward.zi_norms, forward.zi_deg))
     terms, grad_zu, grad_zi = dau_param_grads(
-        None, None, u_inv, i_inv, np.ones(len(u_inv)), lambda_rel, unit=unit
+        *forward, u_inv, i_inv, np.ones(len(u_inv)), lambda_rel
     )
     return terms, grad_zu.T @ base_user_norm, grad_zi.T @ base_item_norm, forward
 
 
 def ipw_through_projection_grads(
-    forward: RelationForward,
+    forward: tuple[tuple, tuple],
     base_user_norm: np.ndarray,
     base_item_norm: np.ndarray,
     u_inv: np.ndarray,
     i_inv: np.ndarray,
     omega_raw: np.ndarray,
-    clip_active: np.ndarray,
-    base_sq_dists: np.ndarray,
+    mu: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the weighted alignment w.r.t. the projection matrices
     when the propensity weights are NOT detached.
 
     For w = 1/max(sigmoid(s), mu) and alignment (1/B) sum w_k d2_k, each
-    unclipped pair contributes dL/ds_k = -(d2_k / B) (1 - sigma_k) / sigma_k;
-    clipped pairs contribute nothing. s_k is the dot of the normalized
-    projections, so the gradient flows through both sides' projections into
-    the matrices; the base embeddings stay frozen.
+    unclipped pair contributes dL/ds_k = -(d2_k / B) (1 - sigma_k) / sigma_k,
+    with d2_k the squared distance of the normalized base rows; a pair with
+    omega_raw <= mu is clipped and contributes nothing. s_k is the dot of
+    the normalized projections (forward, the relation_forward pair), so the
+    gradient flows through both sides' projections into the matrices; the
+    base embeddings stay frozen.
     """
+    (pu, zu_norms, zu_deg), (pi, zi_norms, zi_deg) = forward
     b = len(u_inv)
-    dl_ds = -(base_sq_dists / b) * (1.0 - omega_raw) / omega_raw
-    dl_ds = np.where(clip_active, 0.0, dl_ds)
-    pu, pi = forward.proj_user_norm, forward.proj_item_norm
+    d2 = pair_sq_dists(base_user_norm[u_inv], base_item_norm[i_inv])
+    dl_ds = -(d2 / b) * (1.0 - omega_raw) / omega_raw
+    dl_ds = np.where(omega_raw <= mu, 0.0, dl_ds)
     grad_pu = _scatter_rows(u_inv, dl_ds[:, None] * pi[i_inv], len(pu))
     grad_pi = _scatter_rows(i_inv, dl_ds[:, None] * pu[u_inv], len(pi))
-    grad_zu = normalize_rows_backward(pu, forward.zu_norms, forward.zu_deg, grad_pu)
-    grad_zi = normalize_rows_backward(pi, forward.zi_norms, forward.zi_deg, grad_pi)
+    grad_zu = normalize_rows_backward(pu, zu_norms, zu_deg, grad_pu)
+    grad_zi = normalize_rows_backward(pi, zi_norms, zi_deg, grad_pi)
     return grad_zu.T @ base_user_norm, grad_zi.T @ base_item_norm

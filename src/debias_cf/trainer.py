@@ -6,7 +6,9 @@ construction: the weighted-alignment term (propensities detached) updates
 only the embedding tables, and the relation-space term (base embeddings
 frozen) updates only the projection matrices. Setting
 propensity_grad_through lets the weighted alignment also reach the
-projection matrices through the propensity estimates.
+projection matrices through the propensity estimates; a pair whose raw
+learned propensity is at or below mu is clipped and passes no gradient
+to them.
 """
 
 from __future__ import annotations
@@ -253,15 +255,14 @@ def train_step(
     model, proj = state.model, state.projections
     uids, u_inv = np.unique(pairs[:, 0], return_inverse=True)
     iids, i_inv = np.unique(pairs[:, 1], return_inverse=True)
-    user_rows = model.user_vecs[uids].astype(np.float64)
-    item_rows = model.item_vecs[iids].astype(np.float64)
-    unit = (normalize_rows_full(user_rows), normalize_rows_full(item_rows))
+    user_unit = normalize_rows_full(model.user_vecs[uids].astype(np.float64))
+    item_unit = normalize_rows_full(model.item_vecs[iids].astype(np.float64))
 
     rel = losses.LossTerms(0.0, 0.0, 0.0, 0.0)  # no relation term
     grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
     omega_raw = None
     if config.objective == "uctrl":
-        base_u_norm, base_i_norm = unit[0][0], unit[1][0]
+        base_u_norm, base_i_norm = user_unit[0], item_unit[0]
         rel, g_mu, g_mi, forward = losses.relation_param_grads(
             base_u_norm,
             base_i_norm,
@@ -271,9 +272,8 @@ def train_step(
             proj.m_item.astype(np.float64),
             config.lambda_rel,
         )
-        omega_raw = propensity.estimate_learned(
-            forward.proj_user_norm[u_inv], forward.proj_item_norm[i_inv]
-        )
+        (proj_u, _, _), (proj_i, _, _) = forward
+        omega_raw = propensity.estimate_learned(proj_u[u_inv], proj_i[i_inv])
     elif config.objective == "ipw_align_oracle":
         if world is None:
             raise ConfigError("objective ipw_align_oracle requires a synthetic world")
@@ -288,21 +288,13 @@ def train_step(
     else:
         _, weights = propensity.inverse_weights(omega_raw, config.mu)
     main_terms, g_user, g_item = losses.dau_param_grads(
-        user_rows, item_rows, u_inv, i_inv, weights, config.gamma, unit=unit
+        user_unit, item_unit, u_inv, i_inv, weights, config.gamma
     )
 
     if config.objective == "uctrl":
         if config.propensity_grad_through:
-            d2 = losses.pair_sq_dists(base_u_norm[u_inv], base_i_norm[i_inv])
             extra_mu, extra_mi = losses.ipw_through_projection_grads(
-                forward,
-                base_u_norm,
-                base_i_norm,
-                u_inv,
-                i_inv,
-                omega_raw,
-                clip_active=omega_raw <= config.mu,
-                base_sq_dists=d2,
+                forward, base_u_norm, base_i_norm, u_inv, i_inv, omega_raw, config.mu
             )
             g_mu = g_mu + extra_mu
             g_mi = g_mi + extra_mi
@@ -338,9 +330,8 @@ def learned_propensities(
         projections.m_user.astype(np.float64),
         projections.m_item.astype(np.float64),
     )
-    omega_raw = propensity.estimate_learned(
-        forward.proj_user_norm[pairs[:, 0]], forward.proj_item_norm[pairs[:, 1]]
-    )
+    (proj_u, _, _), (proj_i, _, _) = forward
+    omega_raw = propensity.estimate_learned(proj_u[pairs[:, 0]], proj_i[pairs[:, 1]])
     omega, _ = propensity.inverse_weights(omega_raw, mu)
     return omega
 

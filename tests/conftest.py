@@ -157,7 +157,8 @@ def reference_relation_param_grads(
     alignment call, and each side's uniformity, chain rule and projection
     product run together through `both`."""
     forward = relation_forward(base_user_norm, base_item_norm, m_user, m_item)
-    pu, pi = forward.proj_user_norm, forward.proj_item_norm
+    user_unit, item_unit = forward
+    pu, pi = user_unit[0], item_unit[0]
     ones = np.ones(len(u_inv), dtype=np.float64)
     align, g_ppu, g_ppi = alignment_value_grad(pu[u_inv], pi[i_inv], ones)
 
@@ -166,8 +167,8 @@ def reference_relation_param_grads(
         return grad_z.T @ base, unif
 
     (grad_mu, uu), (grad_mi, ui) = both(
-        lambda: side(u_inv, g_ppu, (pu, forward.zu_norms, forward.zu_deg), base_user_norm),
-        lambda: side(i_inv, g_ppi, (pi, forward.zi_norms, forward.zi_deg), base_item_norm),
+        lambda: side(u_inv, g_ppu, user_unit, base_user_norm),
+        lambda: side(i_inv, g_ppi, item_unit, base_item_norm),
         min(len(pu), len(pi)),
     )
     total = align + lambda_rel * (uu + ui) / 2.0

@@ -12,7 +12,9 @@ import pytest
 import debias_cf as dc
 from debias_cf import evaluation, losses, propensity
 from debias_cf.data import InteractionSet, generate_synthetic_world, sample_clicks, split_unbiased_protocol
-from debias_cf.embedding import init_model, normalize_rows, save_checkpoint, load_checkpoint
+from debias_cf.embedding import (
+    init_model, normalize_rows, normalize_rows_full, save_checkpoint, load_checkpoint,
+)
 from debias_cf.trainer import TrainConfig, train, train_step, init_state
 from debias_cf.util import sigmoid
 from conftest import (
@@ -156,17 +158,18 @@ def test_criterion_2_gradient_correctness():
                 # full joint objective w.r.t. raw embedding rows; weights
                 # and the relation term's base embeddings are frozen at the
                 # base point (the detached / stop-gradient semantics)
-                dots = np.einsum(
-                    "bd,bd->b", fwd.proj_user_norm[u_inv], fwd.proj_item_norm[i_inv]
-                )
+                (pu, _, _), (pi, _, _) = fwd
+                dots = np.einsum("bd,bd->b", pu[u_inv], pi[i_inv])
                 w_frozen = 1.0 / propensity.clip(sigmoid(dots), 0.1)
                 _, g_user, g_item = losses.dau_param_grads(
-                    user_rows, item_rows, u_inv, i_inv, w_frozen, gamma
+                    normalize_rows_full(user_rows), normalize_rows_full(item_rows),
+                    u_inv, i_inv, w_frozen, gamma,
                 )
 
                 def joint_total():
                     tm, _, _ = losses.dau_param_grads(
-                        user_rows, item_rows, u_inv, i_inv, w_frozen, gamma
+                        normalize_rows_full(user_rows), normalize_rows_full(item_rows),
+                        u_inv, i_inv, w_frozen, gamma,
                     )
                     tr, _, _, _ = losses.relation_param_grads(
                         base_u, base_i, u_inv, i_inv, m_user, m_item, lam
@@ -192,9 +195,11 @@ def test_criterion_2_gradient_correctness():
     )
 
 
-def test_criterion_2b_grad_through_matches_unfrozen_fd():
+@pytest.mark.parametrize("mu", [0.1, 0.6])
+def test_criterion_2b_grad_through_matches_unfrozen_fd(mu):
     """Companion check: with grad-through enabled, the projection gradient
-    matches finite differences of the fully unfrozen joint objective."""
+    matches finite differences of the fully unfrozen joint objective. At
+    mu 0.6 half the pairs are clipped and pass no gradient."""
     rng = np.random.default_rng(5)
     d, b, n_u, n_i = 4, 8, 5, 6
     user_rows = rng.normal(size=(n_u, d))
@@ -203,30 +208,32 @@ def test_criterion_2b_grad_through_matches_unfrozen_fd():
     i_inv = rng.integers(0, n_i, b)
     m_user = np.eye(d) + 0.2 * rng.normal(size=(d, d))
     m_item = np.eye(d) + 0.2 * rng.normal(size=(d, d))
-    gamma, lam, mu = 0.8, 1.2, 0.1
+    gamma, lam = 0.8, 1.2
     base_u, base_i = normalize_rows(user_rows), normalize_rows(item_rows)
+    clipped = []
 
     def full(freeze=None):
         tr, g_mu, g_mi, fwd = losses.relation_param_grads(
             base_u, base_i, u_inv, i_inv, m_user, m_item, lam
         )
-        dots = np.einsum(
-            "bd,bd->b", fwd.proj_user_norm[u_inv], fwd.proj_item_norm[i_inv]
-        )
+        (pu, _, _), (pi, _, _) = fwd
+        dots = np.einsum("bd,bd->b", pu[u_inv], pi[i_inv])
         raw = sigmoid(dots)
         w = 1.0 / propensity.clip(raw, mu)
         tm, _, _ = losses.dau_param_grads(
-            user_rows, item_rows, u_inv, i_inv, w, gamma
+            normalize_rows_full(user_rows), normalize_rows_full(item_rows),
+            u_inv, i_inv, w, gamma,
         )
         if freeze is None:
             return tm.total + tr.total
-        d2 = losses.pair_sq_dists(base_u[u_inv], base_i[i_inv])
         e_mu, e_mi = losses.ipw_through_projection_grads(
-            fwd, base_u, base_i, u_inv, i_inv, raw, raw <= mu, d2
+            fwd, base_u, base_i, u_inv, i_inv, raw, mu
         )
+        clipped.append(int(np.sum(raw <= mu)))
         return g_mu + e_mu, g_mi + e_mi
 
     g_mu, g_mi = full(freeze=False)
+    assert clipped == [4 if mu == 0.6 else 0]
     fd_mu = central_difference(full, m_user, 1e-5)
     fd_mi = central_difference(full, m_item, 1e-5)
     assert max_relative_error(g_mu, fd_mu) < 1e-4

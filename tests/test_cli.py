@@ -250,7 +250,8 @@ class TestErrors:
         "not-json", "not-an-object", "missing-m", "missing-item-labels",
         "m-not-an-integer", "labels-not-a-list", "train-not-utf8",
         "unknown-protocol-tag", "too-many-user-labels",
-        "repeated-user-labels", "repeated-item-labels",
+        "repeated-user-labels", "repeated-item-labels", "list-user-labels",
+        "test-pair-in-train",
     ])
     def test_malformed_split_is_data_error(self, tmp_path, corruption):
         split = synth_split(tmp_path)
@@ -262,6 +263,10 @@ class TestErrors:
             manifest_path.write_text(json.dumps([manifest["m"], manifest["n"]]))
         elif corruption == "train-not-utf8":
             (split / "train.tsv").write_bytes(b"0\t1\n\xff\t2\n")
+        elif corruption == "test-pair-in-train":
+            test_line = (split / "test.tsv").read_text().splitlines()[0]
+            with open(split / "train.tsv", "a") as train:
+                train.write(test_line + "\n")
         else:
             if corruption == "m-not-an-integer":
                 manifest["m"] = "twenty"
@@ -269,6 +274,8 @@ class TestErrors:
                 manifest["user_labels"] = 20
             elif corruption == "unknown-protocol-tag":
                 manifest["protocol_tag"] = "x"
+            elif corruption == "list-user-labels":
+                manifest["user_labels"] = [[u] for u in range(manifest["m"])]
             elif corruption == "too-many-user-labels":
                 manifest["user_labels"] = [str(u) for u in range(25)]
             elif corruption.startswith("repeated-"):

@@ -194,6 +194,29 @@ class TestReaderMatchesReference:
         with pytest.raises(DataError, match=key):
             dm.load_split(split)
 
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 3, 4], [["a b"], "ü", "日本", "#c", "x"]],
+                             ids=["integers", "lists"])
+    @pytest.mark.parametrize("key", ["user_labels", "item_labels"])
+    def test_manifest_label_not_a_string_rejected(self, tmp_path, key, labels):
+        split = write_split_dir(tmp_path, b"a b\tX y\n")
+        manifest = json.loads((split / "split-manifest.json").read_text())
+        manifest[key] = labels[: len(manifest[key])]
+        (split / "split-manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"{key} must hold strings"):
+            dm.load_split(split)
+
+    @pytest.mark.parametrize("first, second", [("train", "validation"), ("train", "test"),
+                                               ("validation", "test")])
+    def test_pair_in_two_sets_rejected(self, tmp_path, first, second):
+        split = write_split_dir(tmp_path, b"")
+        (split / f"{first}.tsv").write_bytes("a b\tX y\n日本\t語\n".encode())
+        (split / f"{second}.tsv").write_bytes("x\tñ\n日本\t語\n".encode())
+        with pytest.raises(DataError, match=f"{first}.tsv and {second}.tsv share "
+                                            "the pair \\('日本', '語'\\)"):
+            dm.load_split(split)
+        (split / f"{second}.tsv").write_bytes("x\tñ\n日本\tY\n".encode())
+        assert len(getattr(dm.load_split(split), first)) == 2
+
 
 #: Any label text, including what a split file cannot hold: TAB, LF, CR,
 #: surrogates, and blank labels.

@@ -283,12 +283,12 @@ class TestTrainStep:
             state.projections.m_item.astype(np.float64),
             config.lambda_rel,
         )
-        dots = np.einsum(
-            "bd,bd->b", fwd.proj_user_norm[u_inv], fwd.proj_item_norm[i_inv]
-        )
+        (pu, _, _), (pi, _, _) = fwd
+        dots = np.einsum("bd,bd->b", pu[u_inv], pi[i_inv])
         weights = 1.0 / pp.clip(sigmoid(dots), config.mu)
         _, g_user, g_item = losses_mod.dau_param_grads(
-            user_rows, item_rows, u_inv, i_inv, weights, config.gamma
+            normalize_rows_full(user_rows), normalize_rows_full(item_rows),
+            u_inv, i_inv, weights, config.gamma,
         )
 
         m, n, d = state.model.m, state.model.n, state.model.d
