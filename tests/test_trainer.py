@@ -452,7 +452,8 @@ class TestTrain:
 
 #: SHA-256 of the four float32 tensors after a short fixed `train` on
 #: `toy_bundle(seed=5, m=60, n=80)` (875 training pairs), as trained before
-#: the training step's scatter and Adam update were streamlined. The bytes
+#: the training step's scatter and Adam update were streamlined (the two
+#: ipw cases: before their weights were resolved once per run). The bytes
 #: depend on the rounding of numpy's exp and sqrt and of the BLAS matrix
 #: products (x86-64, numpy 2.4, OpenBLAS 0.3); another build may round
 #: differently.
@@ -475,6 +476,18 @@ PINNED_TRAIN_SHA256 = {
         "m_user": "e97ac0e87ccfe3536a5dd9ca06cb3c0714569643ca88182efb13c2199a67e022",
         "m_item": "dacf496cb09087385a0976ca98c18856916ea8264d7e73d42c421bb960e3182c",
     },
+    "ipw-oracle": {
+        "user_vecs": "3c6dd995b155db583d9fe8e162b341d06a33ead6e1c8526e6a67dadd222706a8",
+        "item_vecs": "f4ef56ad1bd227cb47e4dd3a0edc10b229a9264810ef71bb5e575618f9e8caf0",
+        "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
+        "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
+    },
+    "ipw-pop": {
+        "user_vecs": "899d76485918b78d1b6d51912b0ab7975eac73e374b8f454c81eb227872d4237",
+        "item_vecs": "d782a74b2ec3984803b78650ba0c35a6567d4ce09f880dc3da8a1f350ac5b78b",
+        "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
+        "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
+    },
 }
 
 PINNED_TRAIN_CONFIGS = {
@@ -483,19 +496,22 @@ PINNED_TRAIN_CONFIGS = {
     "directau-b128": dict(objective="directau", batch_size=128, epochs=55),
     "uctrl": dict(objective="uctrl", weight_decay=1e-3),
     "uctrl-grad-through": dict(objective="uctrl", propensity_grad_through=True),
+    # Each mu floors about a tenth of the training pairs' propensities.
+    "ipw-oracle": dict(objective="ipw_align_oracle", mu=0.3),
+    "ipw-pop": dict(objective="ipw_align_pop", mu=0.55),
 }
 
 
 class TestPinnedTraining:
     @pytest.fixture(scope="class")
-    def bundle(self):
-        _, bundle = toy_bundle(seed=5, m=60, n=80)
-        return bundle
+    def world_bundle(self):
+        return toy_bundle(seed=5, m=60, n=80)
 
     @pytest.mark.parametrize("case", sorted(PINNED_TRAIN_CONFIGS))
-    def test_trained_tensors_are_pinned(self, bundle, case):
+    def test_trained_tensors_are_pinned(self, world_bundle, case):
+        world, bundle = world_bundle
         config = small_config(d=8, seed=2, eval_every=100, **PINNED_TRAIN_CONFIGS[case])
-        state = train(bundle, config).state
+        state = train(bundle, config, world).state
         if case == "directau-b128":
             assert state.opt.t > 356
         digests = {
