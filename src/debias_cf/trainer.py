@@ -1,6 +1,10 @@
 """Minibatch training loop: batching, Adam, and the joint-objective
 gradient partition.
 
+Alignment weights enter train_step through one argument: train resolves
+the oracle and popularity propensities into one weight per training pair
+once per run, directau uses unit weights, and uctrl learns its own.
+
 For the joint objective the two terms touch disjoint parameter sets by
 construction: the weighted-alignment term (propensities detached) updates
 only the embedding tables, and the relation-space term (base embeddings
@@ -200,17 +204,15 @@ class TrainResult:
 def make_batches(
     train: InteractionSet, batch_size: int, seed: int, epoch: int
 ) -> list[np.ndarray]:
-    """Seeded permutation of all clicked pairs chunked into batches. A
-    trailing single-pair batch is merged into the previous one."""
+    """Seeded permutation of the positions of all clicked pairs in
+    train.pairs, chunked into batches. A trailing single-pair batch is
+    merged into the previous one."""
     if len(train) == 0:
         raise DataError("cannot batch an empty training set")
-    rng = rng_from(seed, 51, epoch)
-    perm = rng.permutation(len(train))
-    pairs = train.pairs[perm]
-    chunks = [pairs[i : i + batch_size] for i in range(0, len(pairs), batch_size)]
+    perm = rng_from(seed, 51, epoch).permutation(len(train))
+    chunks = [perm[i : i + batch_size] for i in range(0, len(perm), batch_size)]
     if len(chunks) > 1 and len(chunks[-1]) < 2:
-        chunks[-2] = np.concatenate([chunks[-2], chunks[-1]])
-        chunks.pop()
+        chunks[-2:] = [np.concatenate(chunks[-2:])]
     return chunks
 
 
@@ -245,12 +247,13 @@ def train_step(
     state: TrainState,
     pairs: np.ndarray,
     config: TrainConfig,
-    world: SyntheticWorld | None = None,
-    pop_table: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> dict[str, float]:
     """One optimizer step on one batch of positive pairs. Mutates state
     and returns the batch's train-log values: the main terms, the relation
-    terms (zero without a relation term) and their summed total."""
+    terms (zero without a relation term) and their summed total. weights,
+    one per pair, is required by the ipw objectives; None is unit weights
+    for directau, and uctrl learns its own."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     model, proj = state.model, state.projections
     uids, u_inv = np.unique(pairs[:, 0], return_inverse=True)
@@ -260,7 +263,6 @@ def train_step(
 
     rel = losses.LossTerms(0.0, 0.0, 0.0, 0.0)  # no relation term
     grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
-    omega_raw = None
     if config.objective == "uctrl":
         base_u_norm, base_i_norm = user_unit[0], item_unit[0]
         rel, g_mu, g_mi, forward = losses.relation_param_grads(
@@ -274,24 +276,7 @@ def train_step(
         )
         (proj_u, _, _), (proj_i, _, _) = forward
         omega_raw = propensity.estimate_learned(proj_u[u_inv], proj_i[i_inv])
-    elif config.objective == "ipw_align_oracle":
-        if world is None:
-            raise ConfigError("objective ipw_align_oracle requires a synthetic world")
-        omega_raw = propensity.estimate_oracle(world, pairs)
-    elif config.objective == "ipw_align_pop":
-        if pop_table is None:
-            raise ConfigError("objective ipw_align_pop requires a popularity table")
-        omega_raw = pop_table[pairs[:, 1]]
-
-    if omega_raw is None:
-        weights = np.ones(len(pairs), dtype=np.float64)
-    else:
         _, weights = propensity.inverse_weights(omega_raw, config.mu)
-    main_terms, g_user, g_item = losses.dau_param_grads(
-        user_unit, item_unit, u_inv, i_inv, weights, config.gamma
-    )
-
-    if config.objective == "uctrl":
         if config.propensity_grad_through:
             extra_mu, extra_mi = losses.ipw_through_projection_grads(
                 forward, base_u_norm, base_i_norm, u_inv, i_inv, omega_raw, config.mu
@@ -300,6 +285,13 @@ def train_step(
             g_mi = g_mi + extra_mi
         grads["m_user"] = g_mu
         grads["m_item"] = g_mi
+    elif weights is None:
+        if config.objective != "directau":
+            raise ConfigError(f"objective {config.objective} needs per-pair weights")
+        weights = np.ones(len(pairs), dtype=np.float64)
+    main_terms, g_user, g_item = losses.dau_param_grads(
+        user_unit, item_unit, u_inv, i_inv, weights, config.gamma
+    )
 
     # Row gradients: Adam gives the rows outside the batch zero gradient,
     # so their moments still decay (dense-Adam semantics).
@@ -363,6 +355,7 @@ def train(
     train_set = data.train
     if len(train_set) == 0:
         raise DataError("training set is empty")
+    weights = None  # one per training pair, for the fixed propensities
     if config.objective == "ipw_align_oracle":
         if world is None:
             raise ConfigError("objective ipw_align_oracle requires a synthetic world")
@@ -371,10 +364,11 @@ def train(
                 f"world is {world.m}x{world.n} but the split is "
                 f"{train_set.m}x{train_set.n}"
             )
-
-    pop_table = None
-    if config.objective == "ipw_align_pop":
-        pop_table = propensity.item_popularity_table(train_set, config.pop_exponent)
+        omega_raw = propensity.estimate_oracle(world, train_set.pairs)
+        _, weights = propensity.inverse_weights(omega_raw, config.mu)
+    elif config.objective == "ipw_align_pop":
+        table = propensity.item_popularity_table(train_set, config.pop_exponent)
+        _, weights = propensity.inverse_weights(table[train_set.pairs[:, 1]], config.mu)
 
     state = init_state(train_set.m, train_set.n, config)
     can_eval = eval_fn is not None or len(data.validation) > 0
@@ -391,8 +385,9 @@ def train(
         t0 = time.perf_counter()
         sums: dict[str, float] = {}
         batches = make_batches(train_set, config.batch_size, config.seed, epoch)
-        for batch_pairs in batches:
-            step = train_step(state, batch_pairs, config, world, pop_table)
+        for idx in batches:
+            batch_weights = None if weights is None else weights[idx]
+            step = train_step(state, train_set.pairs[idx], config, batch_weights)
             for key, value in step.items():
                 sums[key] = sums.get(key, 0.0) + value
         record = {k: v / len(batches) for k, v in sums.items()}

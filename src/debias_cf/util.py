@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
@@ -61,8 +60,8 @@ def atomic_write(path, *parts) -> None:
 #: the overlap saves.
 PARALLEL_MIN_ROWS = 256
 
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+#: The one worker thread of `both`, started on its first submit.
+_worker = ThreadPoolExecutor(1, thread_name_prefix="debias-cf-side")
 
 
 def usable_cpus() -> int:
@@ -71,14 +70,6 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
-
-
-def _side_worker() -> ThreadPoolExecutor:
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="debias-cf-side")
-        return _worker
 
 
 def both(first, second, rows: int):
@@ -96,7 +87,7 @@ def both(first, second, rows: int):
     """
     if rows < PARALLEL_MIN_ROWS or usable_cpus() < 2:
         return first(), second()
-    future = _side_worker().submit(contextvars.copy_context().run, second)
+    future = _worker.submit(contextvars.copy_context().run, second)
     try:
         a = first()
     finally:

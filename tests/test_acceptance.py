@@ -334,9 +334,9 @@ def test_criterion_5_metric_oracles():
             rng.normal(size=(n, 5)).astype(np.float32),
         )
         train_set = random_interaction_set(rng, m, n, density=0.15)
+        clicked = train_set.pair_set()
         free = np.array(
-            [(u, i) for u in range(m) for i in range(n)
-             if (u, i) not in train_set.pair_set()]
+            [(u, i) for u in range(m) for i in range(n) if (u, i) not in clicked]
         )
         take = rng.choice(len(free), size=60, replace=False)
         test_set = InteractionSet(m, n, free[take])

@@ -53,10 +53,12 @@ class TestMakeBatches:
             assert np.array_equal(x, y)
 
     def test_epochs_reshuffle(self):
+        # Each epoch's positions are a permutation of range(P).
         a = np.concatenate(make_batches(self.iset(30), 8, seed=3, epoch=0))
         b = np.concatenate(make_batches(self.iset(30), 8, seed=3, epoch=1))
         assert not np.array_equal(a, b)
-        assert sorted(map(tuple, a)) == sorted(map(tuple, b))
+        assert np.array_equal(np.sort(a), np.arange(30))
+        assert np.array_equal(np.sort(b), np.arange(30))
 
 
 class TestAdam:
@@ -247,11 +249,17 @@ class TestTrainStep:
         world, bundle = toy_bundle(seed=2)
         config = small_config(objective="ipw_align_oracle")
         state = init_state(bundle.train.m, bundle.train.n, config)
-        record = train_step(state, bundle.train.pairs[:8], config, world=world)
+        batch = bundle.train.pairs[:8]
+        omega_raw = propensity.estimate_oracle(world, batch)
+        _, weights = propensity.inverse_weights(omega_raw, config.mu)
+        record = train_step(state, batch, config, weights)
         assert record["relation_align"] == record["relation_uniform"] == 0.0
         assert math.isfinite(record["total"])
+        # Fixed propensities come from train(), which needs the world.
         with pytest.raises(ConfigError):
-            train_step(state, bundle.train.pairs[:8], config)
+            train_step(state, batch, config)
+        with pytest.raises(ConfigError, match="synthetic world"):
+            train(bundle, config)
 
     def test_isolated_term_updates_match_joint_step(self):
         # Deleting the relation term must not change the embedding update,
