@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -368,6 +369,35 @@ def _full_set(m, n):
     return dm.InteractionSet(m, n, np.stack([users.ravel(), items.ravel()], axis=1))
 
 
+def _pinned_split_input():
+    """1,996 pairs: 40 single-pair users, then 120 users whose clicks
+    follow a 1/sqrt(rank) item popularity."""
+    rng = np.random.default_rng(29)
+    m, n = 160, 120
+    single = [(u, int(rng.integers(0, n))) for u in range(40)]
+    pop = 0.8 / np.sqrt(np.arange(1, n + 1))
+    grid = rng.random((m - 40, n)) < pop[rng.permutation(n)]
+    return dm.InteractionSet(m, n, np.vstack([single, np.argwhere(grid) + [40, 0]]))
+
+
+#: SHA-256 of the little-endian int64 pair arrays that
+#: split_unbiased_protocol(_pinned_split_input(), 0.2, 0.1, seed=3) returns,
+#: as split before the three draws became one helper. No float rounding
+#: enters a split, so the bytes hold on any build.
+PINNED_SPLIT_SHA256 = {
+    "per_item": {
+        "train": "29f0880f21053f357ea6d927d157da028020fb000f9728f29646d21e436fe731",
+        "validation": "e0e37e2158e5bf3fde540bb53054e2e8de19bafc8ac1b17f402ac6aa63a3db26",
+        "test": "3419f86e617d61a896b024f321ca1b728f56bec63f481af14137975f76c60379",
+    },
+    "global_uniform": {
+        "train": "63beee71b24121e2fb480483561f13827b171085e3e7f988a550d13edf1a8be1",
+        "validation": "970e0ac96bffea2e86492e942c1acb11017232d32567ebe7f33f8970d465b2f7",
+        "test": "359ff71b0507497f98e0bfc3bf2b537e8f0b1863e3ef17c0e7948814b5c09f5c",
+    },
+}
+
+
 class TestSplit:
     def test_fraction_validation(self):
         iset = _full_set(4, 4)
@@ -439,6 +469,21 @@ class TestSplit:
             for got, ref in zip((bundle.train, bundle.validation, bundle.test), want):
                 assert np.array_equal(got.pairs, ref)
         assert repaired > 0
+
+    @pytest.mark.parametrize("sampling", ["per_item", "global_uniform"])
+    def test_split_bytes_are_pinned(self, sampling):
+        from conftest import reference_split
+
+        iset = _pinned_split_input()
+        assert len(iset) == 1996 and (iset.user_counts()[:40] == 1).all()
+        assert reference_split(iset, 0.2, 0.1, 3, sampling)[-1] > 0  # the repair pass runs
+        bundle = dm.split_unbiased_protocol(iset, 0.2, 0.1, seed=3, sampling=sampling)
+        digests = {
+            name: hashlib.sha256(np.ascontiguousarray(s.pairs, dtype="<i8").tobytes()).hexdigest()
+            for name, s in (("train", bundle.train), ("validation", bundle.validation),
+                            ("test", bundle.test))
+        }
+        assert digests == PINNED_SPLIT_SHA256[sampling]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), data_seed=st.integers(0, 2**31))

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -236,6 +237,50 @@ class TestEvalUsersMatchesReference:
         assert short > 0
         if k < n:
             assert crossing > 0 and plain > 0
+
+
+def pinned_ranking_inputs():
+    """A 60 x 40 dot-product model with small integer embeddings, so every
+    score is exact under any BLAS and many rows tie across the cut, and
+    train, mask_extra and test sets. mask_extra leaves every seventh user
+    between 1 and 6 candidates, each of them a held-out item."""
+    rng = np.random.default_rng(41)
+    m, n = 60, 40
+    model = model_from(rng.integers(-2, 3, (m, 3)), rng.integers(-2, 3, (n, 3)))
+    grid = rng.random((m, n))
+    train = grid < 0.15
+    extra = (grid >= 0.15) & (grid < 0.25)
+    extra[::7] |= ~train[::7] & (rng.random((len(extra[::7]), n)) < 0.9)
+    test = (grid >= 0.25) & (grid < 0.45)
+    test[::7] = ~train[::7] & ~extra[::7]
+    return model, *(InteractionSet(m, n, np.argwhere(g)) for g in (train, extra, test))
+
+
+#: SHA-256 of the little-endian float64 per-user recall and NDCG arrays of
+#: evaluate_topk(per_user=True) on pinned_ranking_inputs(), as ranked before
+#: the tie rule was stated once. k = 57 > n ranks as k = n = 40 does.
+PINNED_RANKING_SHA256 = {
+    5: ("30a613c0d46bb2894b8f0189a5079efbe275b6b06e06810e92a06c253b341ee3",
+        "49391a78a4408942443e8ea7b185b6b2af117c1d25ce043cf594e6c73f60737f"),
+    20: ("525b6353e654e9856d7fbc8310e7f8dc25128661bc73fca6def4b278545178cc",
+         "8861a06cb79ac669dae02e5d2fbe8293ac7de602527db1d4336870582c5e364b"),
+    40: ("41e09ab16161976ef905e3c39d7c6542759631afa4fff8d624fa0f56be7cf958",
+         "c434a1b14dc75fb92dede7b82d62466a24c33415ec0563d07afac17d4fd6a852"),
+    57: ("41e09ab16161976ef905e3c39d7c6542759631afa4fff8d624fa0f56be7cf958",
+         "c434a1b14dc75fb92dede7b82d62466a24c33415ec0563d07afac17d4fd6a852"),
+}
+
+
+class TestPinnedRanking:
+    @pytest.mark.parametrize("k", sorted(PINNED_RANKING_SHA256))
+    def test_per_user_metrics_are_pinned(self, k):
+        model, train, extra, test = pinned_ranking_inputs()
+        report = ev.evaluate_topk(model, train, test, k, mask_extra=extra, per_user=True)
+        assert report.n_eval_users == 60
+        _, recall, ndcg = (np.array(column) for column in zip(*report.per_user))
+        digests = tuple(hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+                        for a in (recall, ndcg))
+        assert digests == PINNED_RANKING_SHA256[k]
 
 
 class TestNonFiniteModel:
