@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from . import data as data_mod
 from . import evaluation, trainer
 from .embedding import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
+from .losses import ideal_alignment_loss
 from .util import atomic_write
 
 log = logging.getLogger(__name__)
@@ -275,10 +277,11 @@ def _cmd_analyze(cfg: dict) -> int:
         model, pair_sets[cfg["pairs"]], bundle.train.user_counts(),
         bundle.train.item_counts(), ratio=cfg["ratio"],
     )
-    payload = {**dataclasses.asdict(report), "pairs": cfg["pairs"]}
+    # An empty popularity group's NaN is written as null, which JSON has.
+    payload = {key: None if isinstance(v, float) and math.isnan(v) else v
+               for key, v in dataclasses.asdict(report).items()}
+    payload["pairs"] = cfg["pairs"]
     if cfg["world"]:
-        from .losses import ideal_alignment_loss
-
         world = data_mod.load_world(cfg["world"])
         payload["ideal_align"] = ideal_alignment_loss(
             model, world, pair_sets[cfg["pairs"]]

@@ -199,10 +199,13 @@ def load_interactions(path, lenient: bool = False) -> InteractionSet:
                           list(user_ids), list(item_ids))
 
 
-def _stochastic_round(x: float, rng: np.random.Generator) -> int:
-    base = math.floor(x)
-    frac = x - base
-    return base + (1 if rng.random() < frac else 0)
+def _draw(rng: np.random.Generator, idx: np.ndarray, rate: float, out: np.ndarray) -> None:
+    """Set out at rate * len(idx) of the positions idx, stochastically
+    rounded and drawn without replacement."""
+    x = rate * len(idx)
+    quota = math.floor(x) + (rng.random() < x - math.floor(x))
+    if quota > 0:
+        out[idx[rng.choice(len(idx), size=min(quota, len(idx)), replace=False)]] = True
 
 
 def split_unbiased_protocol(
@@ -235,32 +238,16 @@ def split_unbiased_protocol(
 
     rng = rng_from(seed, 21)
     pairs = data.pairs
-    p_total = len(pairs)
-    in_test = np.zeros(p_total, dtype=bool)
-
+    in_test = np.zeros(len(pairs), dtype=bool)
     if sampling == "per_item":
         item_order = np.argsort(pairs[:, 1] * data.m + pairs[:, 0])  # users ascend
         item_ptr = _offsets(pairs[:, 1], data.n)
         for item in np.flatnonzero(np.diff(item_ptr)).tolist():
-            idx = item_order[item_ptr[item] : item_ptr[item + 1]]
-            quota = _stochastic_round(test_frac * len(idx), rng)
-            if quota > 0:
-                chosen = rng.choice(len(idx), size=min(quota, len(idx)), replace=False)
-                in_test[idx[chosen]] = True
+            _draw(rng, item_order[item_ptr[item] : item_ptr[item + 1]], test_frac, in_test)
     else:
-        quota = _stochastic_round(test_frac * p_total, rng)
-        if quota > 0:
-            chosen = rng.choice(p_total, size=min(quota, p_total), replace=False)
-            in_test[chosen] = True
-
-    remainder = np.flatnonzero(~in_test)
-    valid_rate = valid_frac / (1.0 - test_frac)
-    in_valid = np.zeros(p_total, dtype=bool)
-    quota = _stochastic_round(valid_rate * len(remainder), rng)
-    if quota > 0:
-        chosen = rng.choice(len(remainder), size=min(quota, len(remainder)), replace=False)
-        in_valid[remainder[chosen]] = True
-
+        _draw(rng, np.arange(len(pairs)), test_frac, in_test)
+    in_valid = np.zeros(len(pairs), dtype=bool)
+    _draw(rng, np.flatnonzero(~in_test), valid_frac / (1.0 - test_frac), in_valid)
     in_train = ~(in_test | in_valid)
 
     # Repair pass: every user must keep at least one training interaction.

@@ -77,37 +77,29 @@ def _eval_users(
     unmasked candidate. neg_items holds the negated item rows, so the
     block's negated scores come out of one matmul; the scores are finite,
     so a masked item is one scored +inf."""
-    n = neg_items.shape[0]
-    top = min(k, n)
+    top = min(k, neg_items.shape[0])
     neg = user_mat @ neg_items.T
     for mask in masks:
         neg[_cells(mask, users)] = np.inf
 
     # The partition head holds the items strictly better than the top-th
     # value kth plus some items tied with it. It is exact unless an item
-    # outside it also scores kth; only in such a row are the head's tied
-    # slots refilled with the lowest-id tied items. A stable sort of the
-    # ascending ids then orders them as a stable sort of all n would.
-    if top < n:
-        ids = np.argpartition(neg, top - 1, axis=1)[:, :top]
-        head_neg = np.take_along_axis(neg, ids, axis=1)
-        kth = head_neg[:, top - 1 :]
-        # Rows whose minimum outside the head equals kth; the head is restored.
-        np.put_along_axis(neg, ids, np.inf, axis=1)
-        rows = np.flatnonzero(neg.min(axis=1) == kth[:, 0])
-        np.put_along_axis(neg, ids, head_neg, axis=1)
-        if len(rows):
-            # Each such row's first `slots` tied positions, row-major.
-            head, free = ids[rows], head_neg[rows] == kth[rows]
-            slots = np.count_nonzero(free, axis=1)
-            tied = np.flatnonzero(neg == kth)
-            first = np.searchsorted(tied, rows * n)
-            pos = np.arange(slots.sum()) + np.repeat(first - np.cumsum(slots) + slots, slots)
-            head[free] = tied[pos] - np.repeat(rows * n, slots)
-            ids[rows] = head
-        ids.sort(axis=1)
-    else:
-        ids = np.broadcast_to(np.arange(n), neg.shape)
+    # outside it also scores kth; only such a row is refilled by the stable
+    # rule: the items better than kth, then the lowest-id tied ones. A
+    # stable sort of the ascending ids then orders them as a stable sort of
+    # all n would.
+    ids = np.argpartition(neg, top - 1, axis=1)[:, :top]
+    head_neg = np.take_along_axis(neg, ids, axis=1)
+    kth = head_neg[:, top - 1 :]
+    # Rows whose minimum outside the head equals kth; the head is restored.
+    np.put_along_axis(neg, ids, np.inf, axis=1)
+    rows = np.flatnonzero(neg.min(axis=1) == kth[:, 0])
+    np.put_along_axis(neg, ids, head_neg, axis=1)
+    sub, cut = neg[rows], kth[rows]
+    better, tied = sub < cut, sub == cut
+    tied &= np.cumsum(tied, axis=1) <= top - np.count_nonzero(better, axis=1)[:, None]
+    ids[rows] = np.nonzero(better | tied)[1].reshape(len(rows), top)
+    ids.sort(axis=1)
     head_neg = np.take_along_axis(neg, ids, axis=1)
     ranked = np.take_along_axis(ids, np.argsort(head_neg, axis=1, kind="stable"), axis=1)
     # min(top, unmasked candidates): only masked items score +inf.

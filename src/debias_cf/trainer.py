@@ -60,11 +60,10 @@ class TrainConfig:
     scoring: str = "dot"
     propensity_grad_through: bool = False
     init_scale: float = 0.01
-    pop_exponent: float = 0.5
 
     def validate(self) -> "TrainConfig":
-        for name in ("lr", "gamma", "lambda_rel", "weight_decay", "init_scale",
-                     "pop_exponent"):  # NaN and inf slip past the range checks
+        # NaN and inf slip past the range checks below.
+        for name in ("lr", "gamma", "lambda_rel", "weight_decay", "init_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.objective not in OBJECTIVES:
@@ -89,8 +88,6 @@ class TrainConfig:
             raise ConfigError(f"unknown scoring rule {self.scoring!r}")
         if self.init_scale < 0:
             raise ConfigError("init_scale must be >= 0")
-        if self.pop_exponent < 0:
-            raise ConfigError("pop_exponent must be >= 0")
         return self
 
 
@@ -367,7 +364,7 @@ def train(
         omega_raw = propensity.estimate_oracle(world, train_set.pairs)
         _, weights = propensity.inverse_weights(omega_raw, config.mu)
     elif config.objective == "ipw_align_pop":
-        table = propensity.item_popularity_table(train_set, config.pop_exponent)
+        table = propensity.item_popularity_table(train_set)
         _, weights = propensity.inverse_weights(table[train_set.pairs[:, 1]], config.mu)
 
     state = init_state(train_set.m, train_set.n, config)

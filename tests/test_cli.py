@@ -170,6 +170,27 @@ class TestPipeline:
         assert len(rows) == n_eval
         assert rows == [f"{labels[u]}\t{r:.8f}\t{g:.8f}" for u, r, g in report.per_user]
 
+    def test_empty_group_is_written_as_null(self, tmp_path, capsys):
+        # Two users: the 0.6 share is both of them, so the unpopular user
+        # group is empty.
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--m", "2", "--n", "40", "--skew", "0", "--seed", "3",
+                     "--out-dir", str(data), "--quiet"]) == 0
+        assert main(["train", "--data-dir", str(data), "--out-dir", str(run), "--epochs", "1",
+                     "--batch-size", "4", "--d", "4", "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--run-dir", str(run), "--data-dir", str(data),
+                     "--ratio", "0.6", "--quiet"]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        for text in (capsys.readouterr().out, (run / "group-alignment.json").read_text()):
+            report = json.loads(text, parse_constant=no_constant)
+            assert report["unpop_user_align"] is None
+            assert all(isinstance(report[key], float) for key in (
+                "pop_user_align", "pop_item_align", "unpop_item_align"))
+
 
 class TestErrors:
     def test_negative_lr_is_usage_error(self, tmp_path):

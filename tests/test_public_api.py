@@ -60,7 +60,6 @@ TRAIN_CONFIG_FIELDS = (
     "scoring",
     "propensity_grad_through",
     "init_scale",
-    "pop_exponent",
 )
 
 #: The train subcommand's options that are not TrainConfig fields.

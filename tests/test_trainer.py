@@ -451,7 +451,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", [
-        "lr", "gamma", "lambda_rel", "weight_decay", "init_scale", "pop_exponent",
+        "lr", "gamma", "lambda_rel", "weight_decay", "init_scale",
     ])
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
