@@ -534,7 +534,27 @@ class TestSyntheticWorld:
         assert got.exposure.tobytes() == want.exposure.tobytes()
 
 
+#: SHA-256 of `sample_clicks(generate_synthetic_world(m, n, skew, seed=4), 4).pairs`
+#: as little-endian int64, made before the world was kept in factor form.
+#: At 300 x 7 each skew redraws users in all three row blocks; 130 x 900
+#: spans two blocks with most cells exposed below 1.
+PINNED_CLICKS_SHA256 = {
+    (300, 7, 0.0): "fc1a48864f3917d203ded876fa7547ee44cf903b9b744da81eda0f379a98887b",
+    (300, 7, 1.0): "869798b7ff241dade055639ff6e41786d137dc1cee70f70d90e872a9920969f8",
+    (300, 7, 2.0): "f746049b5c5f187fd191e48c616f6f04fb3538b7219bcfe5adc3169ed733db99",
+    (130, 900, 1.0): "46e156cdf3a46d55580d0f4ae3d80679111ad5153dd46c19dc737e10005c6536",
+    (130, 900, 2.0): "42dc4d62fc02f268b740664edb427987e5ba3259cc336874056949e646829c50",
+}
+
+
 class TestSampleClicks:
+    @pytest.mark.parametrize("shape", sorted(PINNED_CLICKS_SHA256), ids=str)
+    def test_clicks_are_pinned(self, shape):
+        m, n, skew = shape
+        pairs = dm.sample_clicks(dm.generate_synthetic_world(m, n, skew, seed=4), 4).pairs
+        digest = hashlib.sha256(np.ascontiguousarray(pairs, dtype="<i8").tobytes()).hexdigest()
+        assert digest == PINNED_CLICKS_SHA256[shape]
+
     def world(self, rel, exp):
         rel = np.asarray(rel, dtype=np.float32)
         return dm.SyntheticWorld(rel.shape[0], rel.shape[1], rel, np.asarray(exp, np.float32))

@@ -13,7 +13,7 @@ from debias_cf.data import (
     sample_clicks,
     split_unbiased_protocol,
 )
-from debias_cf.embedding import EmbeddingTable, normalize_rows, normalize_rows_full
+from debias_cf.embedding import EmbeddingTable, init_model, normalize_rows, normalize_rows_full
 from debias_cf.errors import ConfigError
 from debias_cf.trainer import TrainConfig, init_state, train_step
 from conftest import (
@@ -238,6 +238,16 @@ class TestIdealAlignment:
         half = losses.ideal_alignment_loss(model, world_half, pairs)
         full = losses.ideal_alignment_loss(model, world_full, pairs)
         assert half == pytest.approx(full / 2, rel=1e-6)
+
+    def test_value_is_pinned(self):
+        # Every cell of a three-block world, on a seeded model; the value
+        # was made before the world was kept in factor form.
+        m, n = 300, 40
+        world = generate_synthetic_world(m, n, 1.5, seed=4)
+        model, _ = init_model(m, n, 8, seed=2, scale=0.5)
+        uu, ii = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+        cells = InteractionSet(m, n, np.stack([uu.ravel(), ii.ravel()], axis=1))
+        assert losses.ideal_alignment_loss(model, world, cells).hex() == "0x1.002763533f3e9p+0"
 
 
 class TestUnbiasedDirectau:

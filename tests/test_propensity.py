@@ -1,9 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from debias_cf import propensity as pp
-from debias_cf.data import InteractionSet, SyntheticWorld
+from debias_cf.data import (
+    InteractionSet,
+    SyntheticWorld,
+    generate_synthetic_world,
+    sample_clicks,
+)
 from debias_cf.embedding import EmbeddingTable, ProjectionPair, normalize_rows
 from debias_cf.errors import ConfigError, DataError
 from debias_cf.trainer import learned_propensities
@@ -148,6 +155,15 @@ class TestOracle:
         world = self.world(np.full((2, 2), 0.5))
         with pytest.raises(DataError):
             pp.estimate_oracle(world, np.array([[0, 5]]))
+
+    def test_clicked_pairs_are_pinned(self):
+        # SHA-256 of the float64 exposure at every clicked pair of a
+        # three-block world, made before the world was kept in factor form.
+        world = generate_synthetic_world(300, 40, 1.5, seed=4)
+        omega = pp.estimate_oracle(world, sample_clicks(world, 4).pairs)
+        assert omega.dtype == np.float64
+        assert hashlib.sha256(omega.astype("<f8").tobytes()).hexdigest() == (
+            "07e1294d87302558b6f9a6c19020f0c3cf03a82db5409ed2f51a9cfa7becc89f")
 
 
 def popularity(train, pairs, exponent=0.5, mu=0.1):

@@ -496,6 +496,18 @@ PINNED_TRAIN_SHA256 = {
         "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
         "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
     },
+    "uctrl-gamma0": {
+        "user_vecs": "fb1c957cf73eee1f099162c3f2c22dcbacc9efb8e27ec09152fa1f79de192639",
+        "item_vecs": "1a02703f41fef5d7a33a8571e3d9859260776327c7083ccf4c377141408cf2eb",
+        "m_user": "c8bc909333a0c22b50b19f8ca305744315881c11affaf547a8fb66ea4e0184b0",
+        "m_item": "ffe05884ba3690d3d342b61e7a01fc9f6025b53eb1329b3aa65156932dee3edd",
+    },
+    "uctrl-lambda0": {
+        "user_vecs": "e26a6f01a50c27e7af9eb5ef62c0eedd74842cd4c8c4a4e37a9e8c179ca91362",
+        "item_vecs": "04e696822000abd33744ef8d3fa25854658b747f09fc02be1bea3c98a117671f",
+        "m_user": "5cf0caaaf92f44f8514b0286c177a119d2d44a9250ea302163e3962a4b2d3624",
+        "m_item": "6a4c04676e4d9ddb6d5871c7adcbeba68c6d1811fd2f4cc04e966b73058c442d",
+    },
 }
 
 PINNED_TRAIN_CONFIGS = {
@@ -507,6 +519,9 @@ PINNED_TRAIN_CONFIGS = {
     # Each mu floors about a tenth of the training pairs' propensities.
     "ipw-oracle": dict(objective="ipw_align_oracle", mu=0.3),
     "ipw-pop": dict(objective="ipw_align_pop", mu=0.55),
+    # A zero coefficient keeps the side's uniformity value for the log only.
+    "uctrl-gamma0": dict(objective="uctrl", gamma=0.0),
+    "uctrl-lambda0": dict(objective="uctrl", lambda_rel=0.0),
 }
 
 
