@@ -9,7 +9,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .util import atomic_write, rng_from, sigmoid
 log = logging.getLogger(__name__)
 
 WORLD_MAGIC = b"SYNW"
-WORLD_VERSION = 1
+WORLD_VERSION = 2
 
 #: Exposure probabilities are clamped into [EXPOSURE_FLOOR, 1].
 EXPOSURE_FLOOR = 0.01
@@ -29,10 +29,11 @@ EXPOSURE_FLOOR = 0.01
 _WORLD_LATENT_D = 8
 #: Sharpness of the preference sigmoid; larger pushes relevance toward 0/1.
 _WORLD_SHARPNESS = 3.0
+_WORLD_SCALE = _WORLD_SHARPNESS / math.sqrt(_WORLD_LATENT_D)
 #: Per-user exposure activity range. Values above 1 saturate head items at
 #: full exposure, keeping per-user click counts large enough to learn from.
 _WORLD_ACTIVITY_LO, _WORLD_ACTIVITY_HI = 1.0, 5.0
-#: Rows per block of the world and click computations, which bounds their
+#: Rows per latent product and per block of click draws, which bounds their
 #: float64 temporaries at _ROW_BLOCK x n cells.
 _ROW_BLOCK = 128
 
@@ -113,29 +114,36 @@ class SplitBundle:
 
 @dataclass
 class SyntheticWorld:
-    """Ground truth for the click model: relevance and exposure probability
-    per cell. Clicks are Bernoulli draws with p = exposure * relevance."""
+    """Ground truth for the click model, kept as the generator's inputs.
+
+    Cell (u, i) has exposure probability float32(clip(activity[u] *
+    item_weight[i], EXPOSURE_FLOOR, 1)) and relevance float32(sigmoid(
+    latent_u[u] . latent_i[i] * sharpness / sqrt(latent d))); clicks are
+    Bernoulli draws with p = exposure * relevance. exposure_cells and
+    relevance_cells read the cells, so no m x n matrix is held."""
 
     m: int
     n: int
-    relevance: np.ndarray  # (m, n) float32 in [0, 1]
-    exposure: np.ndarray  # (m, n) float32 in (0, 1]
+    item_weight: np.ndarray  # (n,) float64 >= 0
+    activity: np.ndarray  # (m,) float64 > 0
+    latent_u: np.ndarray  # (m, _WORLD_LATENT_D) float64
+    latent_i: np.ndarray  # (n, _WORLD_LATENT_D) float64
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise DataError(f"world needs m >= 1 and n >= 1, got {self.m}x{self.n}")
-        self.relevance = np.asarray(self.relevance, dtype=np.float32)
-        self.exposure = np.asarray(self.exposure, dtype=np.float32)
-        if self.relevance.shape != (self.m, self.n):
-            raise DataError("relevance matrix shape mismatch")
-        if self.exposure.shape != (self.m, self.n):
-            raise DataError("exposure matrix shape mismatch")
-        if not (np.isfinite(self.relevance).all() and np.isfinite(self.exposure).all()):
-            raise DataError("relevance and exposure values must be finite")
-        if self.relevance.min() < 0 or self.relevance.max() > 1:
-            raise DataError("relevance values must lie in [0, 1]")
-        if self.exposure.min() <= 0 or self.exposure.max() > 1:
-            raise DataError("exposure values must lie in (0, 1]")
+        shapes = {"item_weight": (self.n,), "activity": (self.m,),
+                  "latent_u": (self.m, _WORLD_LATENT_D), "latent_i": (self.n, _WORLD_LATENT_D)}
+        for name, shape in shapes.items():
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.shape != shape:
+                raise DataError(f"world {name} has shape {values.shape}, expected {shape}")
+            if not np.isfinite(values).all():
+                raise DataError(f"world {name} values must be finite")
+            setattr(self, name, values)
+        # A weight may underflow to 0 at a large skew; the floor lifts its cells.
+        if (self.item_weight < 0).any() or (self.activity <= 0).any():
+            raise DataError("world item weights must be >= 0 and activities > 0")
 
 
 def _read_tsv(path, ids=None, lenient: bool = False):
@@ -218,9 +226,10 @@ def split_unbiased_protocol(
     """Split interactions into train/validation/test.
 
     sampling="per_item" draws each item's interactions into the test set at
-    rate test_frac regardless of item popularity (stochastic rounding of the
-    per-item quota), which equalizes item inclusion rates for unbiased
-    evaluation. sampling="global_uniform" instead samples test pairs
+    the same rate test_frac (stochastic rounding of the per-item quota): a
+    draw stratified by item. In expectation its test set has the item mix
+    of the interactions, as a uniform draw does, so it does not remove
+    popularity skew. sampling="global_uniform" instead samples test pairs
     uniformly over all interactions. Validation is drawn uniformly from the
     remainder at rate valid_frac / (1 - test_frac); the rest is train.
 
@@ -296,23 +305,67 @@ def generate_synthetic_world(
     activity = rng.uniform(_WORLD_ACTIVITY_LO, _WORLD_ACTIVITY_HI, size=m)
     latent_u = rng.normal(size=(m, _WORLD_LATENT_D))
     latent_i = rng.normal(size=(n, _WORLD_LATENT_D))
-    scale = _WORLD_SHARPNESS / math.sqrt(_WORLD_LATENT_D)
-    relevance = np.empty((m, n), dtype=np.float32)
-    exposure = np.empty((m, n), dtype=np.float32)
-    for rows in _row_blocks(m):
-        exposure[rows] = np.clip(activity[rows, None] * item_weight, EXPOSURE_FLOOR, 1.0)
-        relevance[rows] = sigmoid((latent_u[rows] @ latent_i.T) * scale)
-    return SyntheticWorld(m, n, relevance, exposure)
+    return SyntheticWorld(m, n, item_weight, activity, latent_u, latent_i)
 
 
 def _row_blocks(m: int) -> list[slice]:
     """Slices of _ROW_BLOCK consecutive rows of m (the last may be shorter)."""
-    return [slice(r, r + _ROW_BLOCK) for r in range(0, m, _ROW_BLOCK)]
+    return [slice(r, min(r + _ROW_BLOCK, m)) for r in range(0, m, _ROW_BLOCK)]
 
 
-def _click_prob(world: SyntheticWorld, rows) -> np.ndarray:
-    """exposure * relevance of the given rows, in float64 (exact)."""
-    return np.multiply(world.exposure[rows], world.relevance[rows], dtype=np.float64)
+def _exposure(product: np.ndarray, out=None) -> np.ndarray:
+    """Exposure cells of activity * item_weight products: the products are
+    clipped in place, then rounded to float32 into out."""
+    np.clip(product, EXPOSURE_FLOOR, 1.0, out=product)
+    if out is None:
+        out = np.empty(product.shape, dtype=np.float32)
+    np.copyto(out, product, casting="same_kind")
+    return out
+
+
+def _logits(world: SyntheticWorld, rows: slice, out=None) -> np.ndarray:
+    """The latent products of one row block. Relevance is always read from
+    the product of the whole block, so a cell's value does not depend on
+    which cells are asked for."""
+    return np.matmul(world.latent_u[rows], world.latent_i.T, out=out)
+
+
+def _relevance(logits: np.ndarray) -> np.ndarray:
+    """Relevance cells of latent products; elementwise."""
+    return sigmoid(logits * _WORLD_SCALE).astype(np.float32)
+
+
+def _world_pairs(world: SyntheticWorld, pairs) -> np.ndarray:
+    """pairs as a (P, 2) int64 array; a pair outside the world is a DataError."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(pairs):
+        if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= world.m:
+            raise DataError("pair user index outside world bounds")
+        if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= world.n:
+            raise DataError("pair item index outside world bounds")
+    return pairs
+
+
+def exposure_cells(world: SyntheticWorld, pairs) -> np.ndarray:
+    """float32 exposure probability of each (user, item) pair."""
+    pairs = _world_pairs(world, pairs)
+    return _exposure(world.activity[pairs[:, 0]] * world.item_weight[pairs[:, 1]])
+
+
+def relevance_cells(world: SyntheticWorld, pairs) -> np.ndarray:
+    """float32 relevance of each (user, item) pair: one latent product per
+    row block that holds a pair's user."""
+    pairs = _world_pairs(world, pairs)
+    out = np.empty(len(pairs), dtype=np.float32)
+    block = pairs[:, 0] // _ROW_BLOCK
+    order = np.argsort(block, kind="stable")
+    blocks = _row_blocks(world.m)
+    ptr = _offsets(block[order], len(blocks))
+    for b in np.flatnonzero(np.diff(ptr)).tolist():
+        at = order[ptr[b] : ptr[b + 1]]
+        logits = _logits(world, blocks[b])
+        out[at] = _relevance(logits[pairs[at, 0] - blocks[b].start, pairs[at, 1]])
+    return out
 
 
 def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
@@ -322,21 +375,47 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     A user whose row comes up empty is redrawn up to 10 times and then
     assigned their single highest-probability item, so every user is
     trainable.
+
+    The draws come one row block at a time, the same stream as one m x n
+    draw. A draw at or above the cell's exposure cannot click, since
+    relevance <= 1 makes exposure * relevance <= exposure exactly in
+    float64; relevance is computed only for the cells below it.
     """
     rng = rng_from(seed, 41)
-    clicks = np.empty((world.m, world.n), dtype=bool)
-    # Block by block, the draws are the same stream as one m x n draw.
-    for rows in _row_blocks(world.m):
-        clicks[rows] = rng.random(clicks[rows].shape) < _click_prob(world, rows)
-    for user in np.flatnonzero(~clicks.any(axis=1)).tolist():
-        prob = _click_prob(world, user)
-        for _ in range(10):
-            clicks[user] = rng.random(world.n) < prob
-            if clicks[user].any():
-                break
-        else:
-            clicks[user, int(np.argmax(prob))] = True
-    return InteractionSet(world.m, world.n, np.argwhere(clicks))
+    n, blocks = world.n, _row_blocks(world.m)
+    shape = (min(_ROW_BLOCK, world.m), n)  # block buffers, reused by every block
+    draw, cells = np.empty(shape), np.empty(shape)
+    exposure, below = np.empty(shape, dtype=np.float32), np.empty(shape, dtype=bool)
+    keys, empty = [], []
+    for rows in blocks:
+        k = rows.stop - rows.start
+        u, e, cand = draw[:k], exposure[:k], below[:k]
+        np.multiply(world.activity[rows, None], world.item_weight, out=cells[:k])
+        _exposure(cells[:k], out=e)
+        rng.random(out=u)
+        np.less(u, e, out=cand)
+        logits = _logits(world, rows, out=cells[:k])
+        prob = np.multiply(e[cand], _relevance(logits[cand]), dtype=np.float64)
+        cand[cand] = u[cand] < prob  # now the block's clicks
+        keys.append(np.flatnonzero(cand) + rows.start * n)
+        empty += (np.flatnonzero(~cand.any(axis=1)) + rows.start).tolist()
+    for b, users in groupby(empty, key=lambda user: user // _ROW_BLOCK):
+        rows = blocks[b]
+        logits = _logits(world, rows, out=cells[: rows.stop - rows.start])
+        redrawn = [keys[b]]
+        for user in users:
+            prob = np.multiply(_exposure(world.activity[user] * world.item_weight),
+                               _relevance(logits[user - rows.start]), dtype=np.float64)
+            for _ in range(10):
+                row = np.flatnonzero(rng.random(n) < prob)
+                if len(row):
+                    break
+            else:
+                row = np.argmax(prob, keepdims=True)
+            redrawn.append(user * n + row)
+        keys[b] = np.sort(np.concatenate(redrawn))
+    key = np.concatenate(keys)
+    return InteractionSet(world.m, n, np.stack([key // n, key % n], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +537,11 @@ def load_split(split_dir) -> SplitBundle:
 
 
 def save_world(world: SyntheticWorld, path) -> None:
-    """Binary world file: magic, version, dims, then the relevance and
-    exposure matrices as row-major little-endian float32."""
+    """Binary world file, version 2: magic, version, dims, then item_weight,
+    activity, latent_u and latent_i as row-major little-endian float64."""
     atomic_write(path, WORLD_MAGIC, struct.pack("<IQQ", WORLD_VERSION, world.m, world.n),
-                 np.ascontiguousarray(world.relevance, dtype="<f4").tobytes(),
-                 np.ascontiguousarray(world.exposure, dtype="<f4").tobytes())
+                 *(np.ascontiguousarray(values, dtype="<f8").tobytes() for values in (
+                     world.item_weight, world.activity, world.latent_u, world.latent_i)))
 
 
 def load_world(path) -> SyntheticWorld:
@@ -473,9 +552,17 @@ def load_world(path) -> SyntheticWorld:
     if raw[:4] != WORLD_MAGIC:
         raise DataError(f"{path}: not a synthetic world file (bad magic)")
     version, m, n = struct.unpack("<IQQ", raw[4:head_len])
+    if version == 1:
+        raise DataError(f"{path}: world file version 1 holds m x n cell matrices, which "
+                        f"this release no longer reads; re-run `synth` to write version "
+                        f"{WORLD_VERSION}")
     if version != WORLD_VERSION:
         raise DataError(f"{path}: unsupported world version {version}")
-    if len(raw) != head_len + 2 * 4 * m * n:
+    sizes = (n, m, m * _WORLD_LATENT_D, n * _WORLD_LATENT_D)
+    if len(raw) != head_len + 8 * sum(sizes):
         raise DataError(f"{path}: truncated or oversized world payload")
-    rel, exp = np.frombuffer(raw, dtype="<f4", offset=head_len).reshape(2, m, n).copy()
-    return SyntheticWorld(int(m), int(n), rel, exp)
+    values = np.frombuffer(raw, dtype="<f8", offset=head_len).astype(np.float64)
+    weight, activity, latent_u, latent_i = np.split(values, np.cumsum(sizes)[:-1])
+    return SyntheticWorld(int(m), int(n), weight, activity,
+                          latent_u.reshape(m, _WORLD_LATENT_D),
+                          latent_i.reshape(n, _WORLD_LATENT_D))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InteractionSet, SyntheticWorld
+from .data import InteractionSet, SyntheticWorld, relevance_cells
 from .embedding import (
     EmbeddingTable,
     normalize_rows,
@@ -95,6 +95,15 @@ def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
 
     With S = sum_{k != l} exp(-2 d_kl^2), the gradient is
     d/dx_k = -(8/S) sum_{l != k} e_kl (x_k - x_l).
+    """
+    vecs, kernel, total, value = _uniformity_kernel(vecs)
+    grad = (-8.0 / total) * (kernel.sum(axis=1)[:, None] * vecs - kernel @ vecs)
+    return value, grad
+
+
+def _uniformity_kernel(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The rows as float64, their B x B kernel exp(-2 d_kl^2) with a zero
+    diagonal, its sum S and the uniformity value log(S / (B (B - 1))).
 
     The kernel overwrites the Gram matrix block by block, with the same
     elementwise operations in the same order as the unblocked formula
@@ -122,9 +131,7 @@ def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
         np.exp(blk, out=blk)
     kernel.flat[:: b + 1] = 0.0  # np.fill_diagonal without its checks
     total = kernel.sum()
-    value = float(math.log(total / (b * (b - 1))))
-    grad = (-8.0 / total) * (kernel.sum(axis=1)[:, None] * vecs - kernel @ vecs)
-    return value, grad
+    return vecs, kernel, total, float(math.log(total / (b * (b - 1))))
 
 
 def ideal_alignment_loss(
@@ -144,7 +151,7 @@ def ideal_alignment_loss(
     pairs = pair_set.pairs
     u_norm = normalize_rows(model.user_vecs[pairs[:, 0]].astype(np.float64))
     i_norm = normalize_rows(model.item_vecs[pairs[:, 1]].astype(np.float64))
-    rho = world.relevance[pairs[:, 0], pairs[:, 1]].astype(np.float64)
+    rho = relevance_cells(world, pairs).astype(np.float64)
     return float(np.mean(rho * pair_sq_dists(u_norm, i_norm)))
 
 
@@ -174,18 +181,21 @@ def _accumulate_side(
 
     unit is the normalize_rows_full result of the side's rows, which are
     one per entity. Scatters the per-pair alignment gradients onto the
-    rows, adds the uniformity gradient and applies the chain rule through
-    the normalization. A side with fewer than two distinct entities has no
-    distinct pair and contributes zero uniformity. Reads nothing of the
-    other side, so `both` may run the two sides at once.
+    rows, adds the uniformity gradient (not built when coeff is 0) and
+    applies the chain rule through the normalization. A side with fewer
+    than two distinct entities has no distinct pair and contributes zero
+    uniformity. Reads nothing of the other side, so `both` may run the two
+    sides at once.
     """
     rows_norm, norms, degenerate = unit
     grad = _scatter_rows(inv, pair_grads, len(rows_norm))
-    unif = 0.0
-    if rows_norm.shape[0] >= 2:
+    if rows_norm.shape[0] < 2:
+        unif = 0.0
+    elif coeff == 0.0:  # the value is only logged
+        unif = _uniformity_kernel(rows_norm)[3]
+    else:
         unif, g_unif = uniformity_value_grad(rows_norm)
-        if coeff != 0.0:
-            grad += (coeff / 2.0) * g_unif
+        grad += (coeff / 2.0) * g_unif
     return normalize_rows_backward(rows_norm, norms, degenerate, grad), unif
 
 

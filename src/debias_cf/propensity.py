@@ -9,8 +9,8 @@ probabilities omega:
                [sigmoid(-1), sigmoid(1)] ~ [0.2689, 0.7311]; with the
                floor mu = 0.1 (TrainConfig's default) the clip never binds
                for this source.
-* oracle     - ground-truth exposure looked up from a SyntheticWorld
-               (testing and diagnostics only).
+* oracle     - ground-truth exposure of a SyntheticWorld, read through
+               data.exposure_cells (testing and diagnostics only).
 * item popularity - (item count / max count)^eta, a popularity baseline
                that depends on the item alone.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import InteractionSet, SyntheticWorld
+from .data import InteractionSet, SyntheticWorld, exposure_cells
 from .errors import ConfigError, DataError
 from .util import sigmoid
 
@@ -61,13 +61,7 @@ def estimate_learned(proj_u_norm: np.ndarray, proj_i_norm: np.ndarray) -> np.nda
 
 def estimate_oracle(world: SyntheticWorld, pairs: np.ndarray) -> np.ndarray:
     """Ground-truth exposure of each pair."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs):
-        if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= world.m:
-            raise DataError("pair user index outside world bounds")
-        if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= world.n:
-            raise DataError("pair item index outside world bounds")
-    return world.exposure[pairs[:, 0], pairs[:, 1]].astype(np.float64)
+    return exposure_cells(world, pairs).astype(np.float64)
 
 
 def item_popularity_table(train: InteractionSet, exponent: float = 0.5) -> np.ndarray:

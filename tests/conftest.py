@@ -308,11 +308,31 @@ def reference_split(data, test_frac, valid_frac, seed, sampling="per_item"):
     return pairs[in_train], pairs[in_valid], pairs[in_test], repaired
 
 
+def reference_world_cells(world):
+    """Relevance and exposure of every cell of a world, as whole m x n
+    float32 matrices: one product of all latent rows, one sigmoid."""
+    exposure = np.clip(world.activity[:, None] * world.item_weight[None, :],
+                       dm.EXPOSURE_FLOOR, 1.0)
+    logits = (world.latent_u @ world.latent_i.T) * (
+        dm._WORLD_SHARPNESS / math.sqrt(dm._WORLD_LATENT_D))
+    return reference_sigmoid(logits).astype(np.float32), exposure.astype(np.float32)
+
+
+def world_cells(world):
+    """Relevance and exposure of every cell as read through the data layer,
+    as m x n float32 matrices."""
+    uu, ii = np.meshgrid(np.arange(world.m), np.arange(world.n), indexing="ij")
+    cells = np.stack([uu.ravel(), ii.ravel()], axis=1)
+    return (dm.relevance_cells(world, cells).reshape(world.m, world.n),
+            dm.exposure_cells(world, cells).reshape(world.m, world.n))
+
+
 def reference_sample_clicks(world, seed):
     """sample_clicks with its retry loop visiting every user in turn;
     returns the boolean click matrix."""
     rng = rng_from(seed, 41)
-    prob = world.exposure.astype(np.float64) * world.relevance.astype(np.float64)
+    relevance, exposure = reference_world_cells(world)
+    prob = exposure.astype(np.float64) * relevance.astype(np.float64)
     clicks = rng.random(prob.shape) < prob
     for user in range(world.m):
         if clicks[user].any():
@@ -401,18 +421,35 @@ def reference_sigmoid(x):
 
 
 def reference_generate_synthetic_world(m, n, skew, seed):
-    """generate_synthetic_world with whole m x n float64 matrices."""
+    """generate_synthetic_world's draws, with their cells as whole m x n
+    float32 matrices: (relevance, exposure)."""
     rng = rng_from(seed, 31)
     ranks = rng.permutation(n) + 1
     item_weight = (1.0 / np.sqrt(ranks)) ** skew
     activity = rng.uniform(dm._WORLD_ACTIVITY_LO, dm._WORLD_ACTIVITY_HI, size=m)
-    exposure = np.clip(activity[:, None] * item_weight[None, :], dm.EXPOSURE_FLOOR, 1.0)
-
     latent_u = rng.normal(size=(m, dm._WORLD_LATENT_D))
     latent_i = rng.normal(size=(n, dm._WORLD_LATENT_D))
-    logits = (latent_u @ latent_i.T) * (dm._WORLD_SHARPNESS / math.sqrt(dm._WORLD_LATENT_D))
-    relevance = reference_sigmoid(logits)
-    return SyntheticWorld(m, n, relevance, exposure)
+    return reference_world_cells(SyntheticWorld(m, n, item_weight, activity, latent_u, latent_i))
+
+
+def factor_world(exposure, logits):
+    """A world whose cells all have the given exposure (in [0.01, 1]) and
+    relevance sigmoid(logits[u, i]), up to the rounding of logits / scale *
+    scale, for an m x n logits matrix with min(m, n) at most the latent
+    dimension: the shorter side's latent rows are unit vectors."""
+    logits = np.asarray(logits, dtype=np.float64)
+    m, n = logits.shape
+    d = dm._WORLD_LATENT_D
+    assert min(m, n) <= d
+    scale = dm._WORLD_SHARPNESS / math.sqrt(d)
+    latent_u, latent_i = np.zeros((m, d)), np.zeros((n, d))
+    if m <= n:
+        latent_u[:, :m] = np.eye(m)
+        latent_i[:, :m] = logits.T / scale
+    else:
+        latent_u[:, :n] = logits / scale
+        latent_i[:, :n] = np.eye(n)
+    return SyntheticWorld(m, n, np.full(n, exposure), np.ones(m), latent_u, latent_i)
 
 
 @pytest.fixture

@@ -11,7 +11,14 @@ import pytest
 
 import debias_cf as dc
 from debias_cf import evaluation, losses, propensity
-from debias_cf.data import InteractionSet, generate_synthetic_world, sample_clicks, split_unbiased_protocol
+from debias_cf.data import (
+    InteractionSet,
+    exposure_cells,
+    generate_synthetic_world,
+    relevance_cells,
+    sample_clicks,
+    split_unbiased_protocol,
+)
 from debias_cf.embedding import (
     init_model, normalize_rows, normalize_rows_full, save_checkpoint, load_checkpoint,
 )
@@ -56,8 +63,9 @@ def test_criterion_1_estimator_unbiasedness():
 
     u_norm = normalize_rows(model.user_vecs.astype(np.float64))
     i_norm = normalize_rows(model.item_vecs.astype(np.float64))
-    prob = world.exposure.astype(np.float64) * world.relevance.astype(np.float64)
     cells = grid.pairs
+    prob = (exposure_cells(world, cells).astype(np.float64)
+            * relevance_cells(world, cells).astype(np.float64))
     # mu sits below the world's exposure floor, so the clip never binds
     _, weights_all = propensity.inverse_weights(
         propensity.estimate_oracle(world, cells), mu=0.005
@@ -308,7 +316,8 @@ def test_criterion_4_propensity_range_and_clip():
     clip_inactive = np.array_equal(propensity.clip(vals, 0.1), vals)
 
     world = generate_synthetic_world(10, 30, 2.0, seed=5)
-    low_cells = np.argwhere(world.exposure < 0.1)
+    cells = all_cells(10, 30).pairs
+    low_cells = cells[exposure_cells(world, cells) < 0.1]
     omega, _ = propensity.inverse_weights(
         propensity.estimate_oracle(world, low_cells), mu=0.1
     )

@@ -54,9 +54,12 @@ def run_pipeline(tmp_path, extra_train=()):
 #: SHA-256 of the outputs of `synth` with every option at its default, as
 #: written before the data layer was vectorized. The bytes depend on the
 #: rounding of numpy's exp and of the BLAS matrix product (x86-64, numpy 2.4,
-#: OpenBLAS 0.3); another build may round differently.
+#: OpenBLAS 0.3); another build may round differently. "world.bin" is the
+#: version-1 layout of the world's cells (relevance, then exposure, as float32
+#: matrices), so it pins every cell; "world.bin v2" is the file itself.
 SYNTH_DEFAULT_SHA256 = {
     "world.bin": "c5e1b234f786c946fddf74ab712dd21c8fca9d1e7ff6238c786f3a45319a0c5e",
+    "world.bin v2": "2c8098a8cd34b501c374b4836d766611bcb1376a584c75a63849ab73351c5204",
     "train.tsv": "16e62146cc8e219141e161b5b925144da6124e5b3404108e86f64b3d447844f6",
     "validation.tsv": "d5a6ba8d437fe7ad3b4036b13590991b5b7d10646856fedd6dfa3c3a9cd76231",
     "test.tsv": "f229c23c3d5755529dbb62e29f9f2dcae9fcd3d6652099caaca602e87ca989b1",
@@ -66,10 +69,20 @@ SYNTH_DEFAULT_SHA256 = {
 
 class TestPipeline:
     def test_default_synth_outputs_are_pinned(self, tmp_path):
+        from conftest import world_cells
+        from debias_cf.data import WORLD_MAGIC, load_world
+
         out = tmp_path / "synth"
         assert main(["synth", "--out-dir", str(out), "--quiet"]) == 0
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in SYNTH_DEFAULT_SHA256}
+        contents = {name: (out / name).read_bytes() for name in SYNTH_DEFAULT_SHA256
+                    if name.endswith((".tsv", ".json"))}
+        world = load_world(out / "world.bin")
+        relevance, exposure = world_cells(world)
+        contents["world.bin"] = b"".join([
+            WORLD_MAGIC, struct.pack("<IQQ", 1, world.m, world.n),
+            relevance.astype("<f4").tobytes(), exposure.astype("<f4").tobytes()])
+        contents["world.bin v2"] = (out / "world.bin").read_bytes()
+        digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in contents.items()}
         assert digests == SYNTH_DEFAULT_SHA256
 
     def test_synth_train_eval_analyze(self, tmp_path, capsys):
@@ -239,11 +252,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("m, n", [(0, 60), (40, 0)])
     def test_empty_world_is_data_error(self, tmp_path, m, n):
-        from debias_cf.data import WORLD_MAGIC, WORLD_VERSION
+        from debias_cf.data import WORLD_MAGIC, WORLD_VERSION, _WORLD_LATENT_D
 
         out = run_pipeline(tmp_path)
         world = tmp_path / "empty-world.bin"
-        world.write_bytes(WORLD_MAGIC + struct.pack("<IQQ", WORLD_VERSION, m, n))
+        payload = bytes(8 * (n + m) * (1 + _WORLD_LATENT_D))  # the length m x n needs
+        world.write_bytes(WORLD_MAGIC + struct.pack("<IQQ", WORLD_VERSION, m, n) + payload)
         assert main([
             "analyze", "--run-dir", str(out), "--data-dir", str(out),
             "--world", str(world), "--quiet",
@@ -538,11 +552,24 @@ class TestOracleObjective:
         ]) == 0
         world = out / "world.bin"
         raw = bytearray(world.read_bytes())
-        offset = 4 + 4 + 16 + 4 * 20 * 30  # first exposure cell
-        raw[offset : offset + 4] = struct.pack("<f", float("nan"))
+        offset = 4 + 4 + 16 + 8 * 30  # first user's activity, after the item weights
+        raw[offset : offset + 8] = struct.pack("<d", float("nan"))
         world.write_bytes(bytes(raw))
         assert main([
             "train", "--data-dir", str(out), "--out-dir", str(out),
             "--objective", "ipw_align_oracle", "--d", "4", "--epochs", "1",
             "--quiet",
         ]) == 2
+
+    def test_version_1_world_is_data_error(self, tmp_path, capsys):
+        from debias_cf.data import WORLD_MAGIC
+
+        out = synth_split(tmp_path, "r")  # 20 x 30
+        (out / "world.bin").write_bytes(
+            WORLD_MAGIC + struct.pack("<IQQ", 1, 20, 30) + bytes(2 * 4 * 20 * 30))
+        assert main([
+            "train", "--data-dir", str(out), "--out-dir", str(out),
+            "--objective", "ipw_align_oracle", "--d", "4", "--epochs", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "re-run `synth`" in err

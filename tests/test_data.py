@@ -303,16 +303,24 @@ class TestRoundTrips:
     @settings(max_examples=40, deadline=None)
     @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)), data=st.data())
     def test_save_then_load_world(self, tmp_path_factory, shape, data):
-        relevance = data.draw(arrays(np.float32, shape, elements=st.floats(0, 1, width=32)))
-        exposure = data.draw(arrays(np.float32, shape, elements=st.floats(
-            0, 1, width=32, exclude_min=True)))
-        world = dm.SyntheticWorld(*shape, relevance, exposure)
+        m, n = shape
+        d = dm._WORLD_LATENT_D
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        factors = {
+            "item_weight": data.draw(arrays(np.float64, n, elements=st.floats(
+                0, allow_infinity=False))),
+            "activity": data.draw(arrays(np.float64, m, elements=st.floats(
+                0, allow_infinity=False, exclude_min=True))),
+            "latent_u": data.draw(arrays(np.float64, (m, d), elements=finite)),
+            "latent_i": data.draw(arrays(np.float64, (n, d), elements=finite)),
+        }
+        world = dm.SyntheticWorld(m, n, **factors)
         path = tmp_path_factory.mktemp("world") / "world.bin"
         dm.save_world(world, path)
         loaded = dm.load_world(path)
         assert (loaded.m, loaded.n) == shape
-        assert loaded.relevance.tobytes() == relevance.tobytes()
-        assert loaded.exposure.tobytes() == exposure.tobytes()
+        for name, values in factors.items():
+            assert getattr(loaded, name).tobytes() == values.tobytes()
 
 
 class TestInteractionSet:
@@ -503,21 +511,27 @@ class TestSplit:
 
 class TestSyntheticWorld:
     def test_skew_zero_uniform_within_rows(self):
-        world = dm.generate_synthetic_world(5, 9, skew=0.0, seed=2)
-        for row in world.exposure:
+        from conftest import world_cells
+
+        _, exposure = world_cells(dm.generate_synthetic_world(5, 9, skew=0.0, seed=2))
+        for row in exposure:
             assert np.all(row == row[0])
 
     def test_deterministic(self):
-        a = dm.generate_synthetic_world(6, 7, 1.5, seed=9)
-        b = dm.generate_synthetic_world(6, 7, 1.5, seed=9)
-        assert np.array_equal(a.relevance, b.relevance)
-        assert np.array_equal(a.exposure, b.exposure)
+        from conftest import world_cells
+
+        a = world_cells(dm.generate_synthetic_world(6, 7, 1.5, seed=9))
+        b = world_cells(dm.generate_synthetic_world(6, 7, 1.5, seed=9))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_bounds(self):
-        world = dm.generate_synthetic_world(10, 20, 2.0, seed=0)
-        assert world.relevance.min() >= 0 and world.relevance.max() <= 1
-        assert world.exposure.min() >= dm.EXPOSURE_FLOOR - 1e-9
-        assert world.exposure.max() <= 1
+        from conftest import world_cells
+
+        relevance, exposure = world_cells(dm.generate_synthetic_world(10, 20, 2.0, seed=0))
+        assert relevance.min() >= 0 and relevance.max() <= 1
+        assert exposure.min() >= dm.EXPOSURE_FLOOR - 1e-9
+        assert exposure.max() <= 1
 
     def test_too_small_rejected(self):
         with pytest.raises(ConfigError):
@@ -526,12 +540,91 @@ class TestSyntheticWorld:
     @pytest.mark.parametrize("skew", [0.0, 2.0])
     @pytest.mark.parametrize("m", [dm._ROW_BLOCK - 1, dm._ROW_BLOCK, dm._ROW_BLOCK + 1])
     def test_bit_identical_to_reference_world(self, m, skew):
-        from conftest import reference_generate_synthetic_world
+        from conftest import reference_generate_synthetic_world, world_cells
 
-        got = dm.generate_synthetic_world(m, 53, skew, seed=8)
-        want = reference_generate_synthetic_world(m, 53, skew, 8)
-        assert got.relevance.tobytes() == want.relevance.tobytes()
-        assert got.exposure.tobytes() == want.exposure.tobytes()
+        got_relevance, got_exposure = world_cells(dm.generate_synthetic_world(m, 53, skew, seed=8))
+        want_relevance, want_exposure = reference_generate_synthetic_world(m, 53, skew, 8)
+        assert got_relevance.tobytes() == want_relevance.tobytes()
+        assert got_exposure.tobytes() == want_exposure.tobytes()
+
+    def test_cells_do_not_depend_on_the_pairs_asked_for(self):
+        # Any order and any subset of pairs, across three row blocks.
+        from conftest import world_cells
+
+        world = dm.generate_synthetic_world(2 * dm._ROW_BLOCK + 10, 31, 1.5, seed=3)
+        relevance, exposure = world_cells(world)
+        rng = np.random.default_rng(1)
+        for size in (1, 7, 500):
+            pairs = np.stack([rng.integers(0, world.m, size), rng.integers(0, world.n, size)], 1)
+            assert dm.relevance_cells(world, pairs).tobytes() == relevance[
+                pairs[:, 0], pairs[:, 1]].tobytes()
+            assert dm.exposure_cells(world, pairs).tobytes() == exposure[
+                pairs[:, 0], pairs[:, 1]].tobytes()
+        assert dm.relevance_cells(world, np.zeros((0, 2), np.int64)).dtype == np.float32
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 31), (266, 0)])
+    def test_cells_outside_the_world_rejected(self, pair):
+        world = dm.generate_synthetic_world(2 * dm._ROW_BLOCK + 10, 31, 1.5, seed=3)
+        for read in (dm.relevance_cells, dm.exposure_cells):
+            with pytest.raises(DataError, match="outside world bounds"):
+                read(world, np.array([pair]))
+
+    def test_world_holds_no_cell_matrix(self):
+        # 2000 x 3000 cells as float32 matrices would take 45.8 MB.
+        import tracemalloc
+
+        dm.sample_clicks(dm.generate_synthetic_world(2, 2, 2.0, seed=7), 7)  # lazy imports
+        tracemalloc.start()
+        try:
+            world = dm.generate_synthetic_world(2000, 3000, 2.0, seed=7)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+        factors = (world.item_weight, world.activity, world.latent_u, world.latent_i)
+        assert sum(a.nbytes for a in factors) < 1_000_000
+
+    def test_world_and_clicks_peak_is_bounded(self):
+        # Block buffers, not m x n matrices, which peaked at 57.9 MB.
+        import tracemalloc
+
+        dm.sample_clicks(dm.generate_synthetic_world(2, 2, 2.0, seed=7), 7)  # lazy imports
+        tracemalloc.start()
+        try:
+            clicks = dm.sample_clicks(dm.generate_synthetic_world(2000, 3000, 2.0, seed=7), 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(clicks) > 0
+        assert peak < 24_000_000
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("activity", 0.0, "activities > 0"),
+        ("item_weight", -0.5, "item weights must be >= 0"),
+        ("latent_i", np.inf, "latent_i values must be finite"),
+        ("latent_u", np.nan, "latent_u values must be finite"),
+    ])
+    def test_bad_factor_rejected(self, field, value, problem):
+        world = dm.generate_synthetic_world(3, 4, 1.0, seed=0)
+        factors = {name: getattr(world, name).copy()
+                   for name in ("item_weight", "activity", "latent_u", "latent_i")}
+        factors[field].flat[-1] = value
+        with pytest.raises(DataError, match=problem):
+            dm.SyntheticWorld(3, 4, **factors)
+
+    def test_factor_of_wrong_shape_rejected(self):
+        world = dm.generate_synthetic_world(3, 4, 1.0, seed=0)
+        with pytest.raises(DataError, match="latent_i has shape"):
+            dm.SyntheticWorld(3, 4, world.item_weight, world.activity, world.latent_u,
+                              world.latent_i[:, :-1])
+
+    def test_underflowed_item_weight_accepted(self):
+        # (1/sqrt(r))^skew reaches 0 at a large enough skew; such a cell is
+        # exposed at the floor.
+        world = dm.generate_synthetic_world(3, 4000, 200.0, seed=0)
+        assert (world.item_weight == 0).any()
+        assert dm.exposure_cells(world, np.array([[0, int(np.argmin(world.item_weight))]]))[
+            0] == np.float32(dm.EXPOSURE_FLOOR)
 
 
 #: SHA-256 of `sample_clicks(generate_synthetic_world(m, n, skew, seed=4), 4).pairs`
@@ -555,45 +648,47 @@ class TestSampleClicks:
         digest = hashlib.sha256(np.ascontiguousarray(pairs, dtype="<i8").tobytes()).hexdigest()
         assert digest == PINNED_CLICKS_SHA256[shape]
 
-    def world(self, rel, exp):
-        rel = np.asarray(rel, dtype=np.float32)
-        return dm.SyntheticWorld(rel.shape[0], rel.shape[1], rel, np.asarray(exp, np.float32))
-
     def test_certainty_case(self):
-        world = self.world(np.ones((3, 4)), np.ones((3, 4)))
+        from conftest import factor_world
+
+        world = factor_world(1.0, np.full((3, 4), 1e4))  # relevance 1
         clicks = dm.sample_clicks(world, seed=0)
         assert len(clicks) == 12
 
     def test_click_rate_matches_probability(self):
-        world = self.world(np.full((100, 100), 0.5), np.full((100, 100), 0.5))
+        latent = np.zeros((100, dm._WORLD_LATENT_D))  # relevance 1/2
+        world = dm.SyntheticWorld(100, 100, np.full(100, 0.5), np.ones(100), latent, latent)
         clicks = dm.sample_clicks(world, seed=5)
         assert abs(len(clicks) / 10_000 - 0.25) < 0.02
 
     def test_fallback_single_best_item(self):
-        rel = np.zeros((4, 5), dtype=np.float32)
+        from conftest import factor_world
+
+        logits = np.full((4, 5), -1e4)  # relevance 0
         for u in range(4):
-            rel[u, (u + 1) % 5] = 0.01  # one barely-clickable item per user
-        world = self.world(rel, np.ones((4, 5)))
+            logits[u, (u + 1) % 5] = -4.6  # one barely-clickable item per user
+        world = factor_world(1.0, logits)
         clicks = dm.sample_clicks(world, seed=1)
         assert len(clicks) == 4
         for u, i in clicks.pairs:
             assert i == (u + 1) % 5
 
     def test_matches_reference_retry_loop(self):
-        from conftest import reference_sample_clicks
+        from conftest import factor_world, reference_sample_clicks, reference_world_cells
 
         # Rows whose click chance is small go through the retry loop, and
         # some of them through the single-best-item fallback too. The larger
         # world spans three row blocks, with retried rows in each.
         for m in (30, 2 * dm._ROW_BLOCK + 10):
-            rel = np.random.default_rng(6).random((m, 8)).astype(np.float32)
+            rel = np.random.default_rng(6).random((m, 8))
             rel[::2] *= 0.02
-            world = self.world(rel, np.ones((m, 8)))
+            world = factor_world(1.0, np.log(rel) - np.log1p(-rel))
+            relevance, _ = reference_world_cells(world)
             retried_blocks = set()
             for seed in range(20):
                 want = np.argwhere(reference_sample_clicks(world, seed))
                 assert np.array_equal(dm.sample_clicks(world, seed).pairs, want)
-                first = rng_from(seed, 41).random((m, 8)) < rel.astype(np.float64)
+                first = rng_from(seed, 41).random((m, 8)) < relevance.astype(np.float64)
                 retried_blocks |= set(np.flatnonzero(~first.any(axis=1)) // dm._ROW_BLOCK)
             assert len(retried_blocks) == -(-m // dm._ROW_BLOCK)
 
@@ -605,10 +700,11 @@ class TestSampleClicks:
 
 
 def nan_exposure_cell(path, m, n):
-    """Overwrite the first exposure cell of an m x n world file with NaN."""
+    """Overwrite the first user's activity in an m x n world file with NaN,
+    which makes that user's exposure cells NaN."""
     raw = bytearray(path.read_bytes())
-    offset = 4 + 4 + 16 + 4 * m * n  # header, then the relevance matrix
-    raw[offset : offset + 4] = struct.pack("<f", float("nan"))
+    offset = 4 + 4 + 16 + 8 * n  # header, then the item weights
+    raw[offset : offset + 8] = struct.pack("<d", float("nan"))
     path.write_bytes(bytes(raw))
 
 
@@ -628,18 +724,20 @@ class TestPersistence:
             assert (a.m, a.n) == (b.m, b.n)
 
     def test_world_round_trip(self, tmp_path):
+        from conftest import world_cells
+
         world = dm.generate_synthetic_world(7, 9, 1.2, seed=13)
         path = tmp_path / "world.bin"
         dm.save_world(world, path)
         loaded = dm.load_world(path)
-        assert np.array_equal(world.relevance, loaded.relevance)
-        assert np.array_equal(world.exposure, loaded.exposure)
+        assert np.array_equal(world_cells(world)[0], world_cells(loaded)[0])
+        assert np.array_equal(world_cells(world)[1], world_cells(loaded)[1])
 
     def test_world_with_nan_cell_rejected(self, tmp_path):
         with pytest.raises(DataError, match="finite"):
-            dm.SyntheticWorld(
-                2, 2, np.full((2, 2), 0.5), np.array([[0.5, np.nan], [0.5, 0.5]])
-            )
+            dm.SyntheticWorld(2, 2, np.full(2, 0.5), np.array([1.0, np.nan]),
+                              np.zeros((2, dm._WORLD_LATENT_D)),
+                              np.zeros((2, dm._WORLD_LATENT_D)))
         world = dm.generate_synthetic_world(3, 4, 1.0, seed=2)
         path = tmp_path / "world.bin"
         dm.save_world(world, path)
@@ -658,3 +756,10 @@ class TestPersistence:
         (tmp_path / "magic.bin").write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(DataError, match="magic"):
             dm.load_world(tmp_path / "magic.bin")
+
+    def test_version_1_world_names_its_version(self, tmp_path):
+        # Version 1 held the relevance and exposure matrices as float32.
+        path = tmp_path / "world.bin"
+        path.write_bytes(dm.WORLD_MAGIC + struct.pack("<IQQ", 1, 2, 3) + bytes(2 * 4 * 2 * 3))
+        with pytest.raises(DataError, match="version 1.*re-run `synth`"):
+            dm.load_world(path)

@@ -8,21 +8,28 @@ from hypothesis import given, settings, strategies as st
 from debias_cf import losses, util
 from debias_cf.data import (
     InteractionSet,
-    SyntheticWorld,
     generate_synthetic_world,
     sample_clicks,
     split_unbiased_protocol,
 )
-from debias_cf.embedding import EmbeddingTable, init_model, normalize_rows, normalize_rows_full
+from debias_cf.embedding import (
+    EmbeddingTable,
+    init_model,
+    normalize_rows,
+    normalize_rows_backward,
+    normalize_rows_full,
+)
 from debias_cf.errors import ConfigError
 from debias_cf.trainer import TrainConfig, init_state, train_step
 from conftest import (
     brute_force_uniformity,
     central_difference,
+    factor_world,
     max_relative_error,
     reference_relation_param_grads,
     reference_scatter_rows,
     reference_uniformity_value_grad,
+    world_cells,
 )
 
 
@@ -129,6 +136,31 @@ class TestUniformity:
         with pytest.raises(ConfigError):
             uniformity(np.array([[1.0, 0.0]]))
 
+    def test_zero_coefficient_keeps_only_the_value(self, rng, monkeypatch):
+        # A side with coefficient 0 logs the uniformity value bit for bit
+        # and takes the alignment gradient alone, without building the
+        # uniformity gradient.
+        inv = np.array([0, 2, 1, 2, 0, 3, 4, 1])
+        pair_grads = rng.normal(size=(8, 6))
+        side = normalize_rows_full(rng.normal(size=(5, 6)))
+        value, _ = losses.uniformity_value_grad(side[0])
+        for rows, coeff in ((5, 0.0), (5, 0.7), (1, 0.0)):
+            unit_rows = tuple(a[:rows] for a in side)
+            alone = normalize_rows_backward(
+                *unit_rows, reference_scatter_rows(inv % rows, pair_grads, rows))
+            grad, unif = losses._accumulate_side(inv % rows, pair_grads, unit_rows, coeff)
+            if coeff == 0.0:
+                assert grad.tobytes() == alone.tobytes()
+                assert np.float64(unif).tobytes() == np.float64(value if rows > 1 else 0.0).tobytes()
+            else:
+                assert not np.array_equal(grad, alone)
+
+        def unexpected(vecs):
+            raise AssertionError("the uniformity gradient was built")
+
+        monkeypatch.setattr(losses, "uniformity_value_grad", unexpected)
+        assert losses._accumulate_side(inv, pair_grads, side, 0.0)[1] == value
+
     def test_gradient_matches_finite_differences(self, rng):
         vecs = normalize_rows(rng.normal(size=(6, 4)))
         _, grad = losses.uniformity_value_grad(vecs)
@@ -200,6 +232,10 @@ class TestDirectau:
         assert terms.total == pytest.approx(align + gamma * (uu + ui) / 2, abs=1e-10)
 
 
+#: Latent products whose sigmoid is exactly 0, 1/2 and 1 in float32.
+RELEVANCE_LOGITS = {0.0: -1e4, 0.5: 0.0, 1.0: 1e4}
+
+
 class TestIdealAlignment:
     def setup_case(self, rng, rho_value):
         m, n, d = 4, 5, 3
@@ -208,11 +244,7 @@ class TestIdealAlignment:
             rng.normal(size=(m, d)).astype(np.float32),
             rng.normal(size=(n, d)).astype(np.float32),
         )
-        world = SyntheticWorld(
-            m, n,
-            np.full((m, n), rho_value, dtype=np.float32),
-            np.full((m, n), 0.5, dtype=np.float32),
-        )
+        world = factor_world(0.5, np.full((m, n), RELEVANCE_LOGITS[rho_value]))
         pairs = InteractionSet(m, n, np.array([[0, 1], [1, 2], [3, 4], [2, 0]]))
         return model, world, pairs
 
@@ -230,11 +262,7 @@ class TestIdealAlignment:
 
     def test_linear_in_relevance(self, rng):
         model, world_half, pairs = self.setup_case(rng, 0.5)
-        model2, world_full, _ = self.setup_case(np.random.default_rng(0), 1.0)
-        world_full = SyntheticWorld(
-            world_half.m, world_half.n,
-            np.ones_like(world_half.relevance), world_half.exposure,
-        )
+        _, world_full, _ = self.setup_case(np.random.default_rng(0), 1.0)
         half = losses.ideal_alignment_loss(model, world_half, pairs)
         full = losses.ideal_alignment_loss(model, world_full, pairs)
         assert half == pytest.approx(full / 2, rel=1e-6)
@@ -278,8 +306,9 @@ class TestUnbiasedDirectau:
         un = normalize_rows(model.user_vecs.astype(np.float64))
         im = normalize_rows(model.item_vecs.astype(np.float64))
         d2 = ((un[:, None, :] - im[None, :, :]) ** 2).sum(-1)
-        omega = world.exposure.astype(np.float64)
-        prob = omega * world.relevance.astype(np.float64)
+        relevance, exposure = world_cells(world)
+        omega = exposure.astype(np.float64)
+        prob = omega * relevance.astype(np.float64)
         draws = rng.random((400, m, n)) < prob
         estimates = (draws * d2 / omega).sum(axis=(1, 2)) / (m * n)
         assert abs(estimates.mean() - ideal) / ideal < 0.02

@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from debias_cf import propensity as pp
-from debias_cf.data import (
-    InteractionSet,
-    SyntheticWorld,
-    generate_synthetic_world,
-    sample_clicks,
-)
+from debias_cf.data import InteractionSet, generate_synthetic_world, sample_clicks
 from debias_cf.embedding import EmbeddingTable, ProjectionPair, normalize_rows
 from debias_cf.errors import ConfigError, DataError
 from debias_cf.trainer import learned_propensities
 from debias_cf.util import sigmoid
+from conftest import factor_world
 
 SIG_LO, SIG_HI = sigmoid(-1.0), sigmoid(1.0)
 
@@ -128,31 +124,28 @@ def clipped(omega_raw, mu=0.1):
 
 
 class TestOracle:
-    def world(self, values):
-        values = np.asarray(values, dtype=np.float32)
-        return SyntheticWorld(
-            values.shape[0], values.shape[1],
-            np.full(values.shape, 0.5, dtype=np.float32), values,
-        )
+    def world(self, shape, exposure):
+        # Every cell exposed at `exposure`; relevance 1/2.
+        return factor_world(exposure, np.zeros(shape))
 
     def test_lookup(self):
-        world = self.world(np.full((3, 3), 0.3))
+        world = self.world((3, 3), 0.3)
         omega = pp.estimate_oracle(world, np.array([[0, 0], [2, 1]]))
         assert np.allclose(omega, 0.3)
 
     def test_clip_applies(self):
-        world = self.world(np.full((2, 2), 0.02))
+        world = self.world((2, 2), 0.02)
         omega = clipped(pp.estimate_oracle(world, np.array([[0, 0]])), mu=0.1)
         assert omega[0] == 0.1
 
     def test_capped_below_one(self):
-        world = self.world(np.ones((2, 2)))
+        world = self.world((2, 2), 1.0)
         omega = clipped(pp.estimate_oracle(world, np.array([[0, 0]])))
         assert omega[0] == pytest.approx(1.0 - 1e-6)
         assert omega[0] < 1.0
 
     def test_out_of_bounds_rejected(self):
-        world = self.world(np.full((2, 2), 0.5))
+        world = self.world((2, 2), 0.5)
         with pytest.raises(DataError):
             pp.estimate_oracle(world, np.array([[0, 5]]))
 
