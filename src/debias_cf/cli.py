@@ -60,10 +60,7 @@ _REPORT_OPTIONS = {
     "out_dir": None,  # defaults to run_dir
 }
 
-_EVAL_DEFAULTS = {
-    **_REPORT_OPTIONS, "k": 20, "scoring": "dot", "mask_validation": True,
-    "per_user": False,
-}
+_EVAL_DEFAULTS = {**_REPORT_OPTIONS, "k": 20, "scoring": "dot", "per_user": False}
 
 _ANALYZE_DEFAULTS = {**_REPORT_OPTIONS, "ratio": 0.2, "pairs": "train", "world": None}
 
@@ -251,10 +248,9 @@ def _write_report(cfg: dict, command: str, name: str, payload: dict) -> Path:
 
 def _cmd_eval(cfg: dict) -> int:
     model, bundle = _load_run(cfg)
-    mask_extra = bundle.validation if cfg["mask_validation"] else None
     report = evaluation.evaluate_topk(
         model, bundle.train, bundle.test, k=cfg["k"], scoring=cfg["scoring"],
-        mask_extra=mask_extra, per_user=cfg["per_user"],
+        mask_extra=bundle.validation, per_user=cfg["per_user"],
     )
     payload = report.to_dict()
     payload.pop("per_user", None)

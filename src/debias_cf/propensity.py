@@ -11,7 +11,7 @@ probabilities omega:
                for this source.
 * oracle     - ground-truth exposure of a SyntheticWorld, read through
                data.exposure_cells (testing and diagnostics only).
-* item popularity - (item count / max count)^eta, a popularity baseline
+* item popularity - (item count / max count)^0.5, a popularity baseline
                that depends on the item alone.
 
 inverse_weights turns raw omega of any source into the alignment weights:
@@ -64,18 +64,12 @@ def estimate_oracle(world: SyntheticWorld, pairs: np.ndarray) -> np.ndarray:
     return exposure_cells(world, pairs).astype(np.float64)
 
 
-def item_popularity_table(train: InteractionSet, exponent: float = 0.5) -> np.ndarray:
-    """Per-item propensity table: (count / max count)^exponent.
-
-    exponent=0 collapses every item to the same weight, reducing the
-    weighted alignment to the unweighted one up to a constant scale.
-    """
-    if exponent < 0:
-        raise ConfigError("popularity exponent must be >= 0")
+def item_popularity_table(train: InteractionSet) -> np.ndarray:
+    """Per-item propensity table: (count / max count)^0.5."""
     if len(train) == 0:
         raise DataError("popularity propensities need a non-empty training set")
     counts = train.item_counts().astype(np.float64)
-    return (counts / counts.max()) ** exponent
+    return (counts / counts.max()) ** 0.5
 
 
 def inverse_weights(omega_raw: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:

@@ -59,11 +59,10 @@ class TrainConfig:
     eval_every: int = 10
     scoring: str = "dot"
     propensity_grad_through: bool = False
-    init_scale: float = 0.01
 
     def validate(self) -> "TrainConfig":
         # NaN and inf slip past the range checks below.
-        for name in ("lr", "gamma", "lambda_rel", "weight_decay", "init_scale"):
+        for name in ("lr", "gamma", "lambda_rel", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if self.objective not in OBJECTIVES:
@@ -86,8 +85,6 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.scoring not in ("dot", "cosine"):
             raise ConfigError(f"unknown scoring rule {self.scoring!r}")
-        if self.init_scale < 0:
-            raise ConfigError("init_scale must be >= 0")
         return self
 
 
@@ -224,7 +221,7 @@ def _tensors(model: EmbeddingTable, projections: ProjectionPair) -> dict[str, np
 
 
 def init_state(m: int, n: int, config: TrainConfig) -> TrainState:
-    model, projections = init_model(m, n, config.d, config.seed, config.init_scale)
+    model, projections = init_model(m, n, config.d, config.seed)
     shapes = {name: t.shape for name, t in _tensors(model, projections).items()}
     opt = Adam(shapes, lr=config.lr, weight_decay=config.weight_decay)
     return TrainState(model, projections, opt)

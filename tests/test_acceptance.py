@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 """
 
+import functools
 import math
 import time
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import debias_cf as dc
-from debias_cf import evaluation, losses, propensity
+from debias_cf import evaluation, losses, propensity, trainer
 from debias_cf.data import (
     InteractionSet,
     exposure_cells,
@@ -255,11 +256,11 @@ def test_criterion_3_gradient_partition(monkeypatch):
     clicks = sample_clicks(world, seed=3)
     bundle = split_unbiased_protocol(clicks, 0.15, 0.15, seed=3)
     batch = bundle.train.pairs[:16]
+    monkeypatch.setattr(trainer, "init_model", functools.partial(init_model, scale=0.05))
 
     def one_step(**overrides):
         params = dict(
-            objective="uctrl", d=6, gamma=0.7, lambda_rel=1.0, lr=1e-2,
-            seed=21, init_scale=0.05,
+            objective="uctrl", d=6, gamma=0.7, lambda_rel=1.0, lr=1e-2, seed=21,
         )
         params.update(overrides)
         cfg = TrainConfig(**params)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -182,6 +183,25 @@ class TestPipeline:
         rows = (out / "per-user.tsv").read_text().splitlines()
         assert len(rows) == n_eval
         assert rows == [f"{labels[u]}\t{r:.8f}\t{g:.8f}" for u, r, g in report.per_user]
+
+    def test_analyze_reads_the_chosen_pair_set(self, tmp_path, capsys):
+        from debias_cf.data import load_split
+        from debias_cf.embedding import load_checkpoint
+        from debias_cf.evaluation import group_alignment
+
+        out = run_pipeline(tmp_path)
+        capsys.readouterr()
+        args = ["analyze", "--run-dir", str(out), "--data-dir", str(out), "--quiet"]
+        assert main([*args, "--pairs", "test"]) == 0
+        report = json.loads((out / "group-alignment.json").read_text())
+        assert report.pop("pairs") == "test"
+        bundle = load_split(out)
+        expected = group_alignment(
+            load_checkpoint(out / "checkpoint.bin")[0], bundle.test,
+            bundle.train.user_counts(), bundle.train.item_counts(), 0.2,
+        )
+        assert report == dataclasses.asdict(expected)
+        assert main([*args, "--pairs", "nope"]) == 1
 
     def test_empty_group_is_written_as_null(self, tmp_path, capsys):
         # Two users: the 0.6 share is both of them, so the unpopular user
@@ -487,14 +507,21 @@ class TestConfigFile:
         assert resolved["n"] == 25       # file beats default
         assert resolved["skew"] == 0.5
 
-    @pytest.mark.parametrize("command,key", [("synth", "warp"), ("train", "alternating")])
+    @pytest.mark.parametrize("command,key", [
+        ("synth", "warp"), ("train", "alternating"), ("train", "init_scale"),
+        ("eval", "mask_validation"),
+    ])
     def test_unknown_config_key_rejected(self, tmp_path, command, key):
+        # Each value has the type a flag of that name had (init_scale was a
+        # float), so only the key can be rejected; the missing inputs exit 2.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: True}))
+        cfg.write_text(json.dumps({key: 0.05 if key == "init_scale" else True}))
+        nope = str(tmp_path / "nope")
+        inputs = {"train": ["--data-dir", nope],
+                  "eval": ["--run-dir", nope, "--data-dir", nope]}
         assert main([
             command, "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
-            *(["--data-dir", str(tmp_path / "nope")] if command == "train" else []),
-            "--quiet",
+            *inputs.get(command, []), "--quiet",
         ]) == 1
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])

@@ -159,9 +159,9 @@ class TestOracle:
             "07e1294d87302558b6f9a6c19020f0c3cf03a82db5409ed2f51a9cfa7becc89f")
 
 
-def popularity(train, pairs, exponent=0.5, mu=0.1):
+def popularity(train, pairs, mu=0.1):
     """Clipped popularity propensity of each pair."""
-    table = pp.item_popularity_table(train, exponent)
+    table = pp.item_popularity_table(train)
     return clipped(table[np.asarray(pairs)[:, 1]], mu)
 
 
@@ -176,14 +176,8 @@ class TestItemPopularity:
         assert omega[0] == pytest.approx(1.0 - 1e-6)
 
     def test_zero_count_item_floored(self):
-        omega = popularity(self.train_set(), np.array([[0, 2]]), exponent=0.5)
+        omega = popularity(self.train_set(), np.array([[0, 2]]))
         assert omega[0] == 0.1
-
-    def test_exponent_zero_constant(self):
-        pairs = np.array([[0, 0], [0, 1], [0, 2]])
-        omega = popularity(self.train_set(), pairs, exponent=0.0)
-        assert np.all(omega == omega[0])
-        assert omega[0] == pytest.approx(1.0 - 1e-6)
 
     def test_depends_only_on_item(self):
         omega = popularity(self.train_set(), np.array([[0, 1], [1, 1], [2, 1]]))

@@ -59,7 +59,6 @@ TRAIN_CONFIG_FIELDS = (
     "eval_every",
     "scoring",
     "propensity_grad_through",
-    "init_scale",
 )
 
 #: The train subcommand's options that are not TrainConfig fields.
@@ -93,7 +92,7 @@ REPORT_OPTIONS = {"run_dir", "data_dir", "out_dir", "config", "quiet"}
 OPTIONS = {
     "split": SPLIT_OPTIONS | {"data", "lenient"},
     "synth": SPLIT_OPTIONS | {"m", "n", "skew"},
-    "eval": REPORT_OPTIONS | {"k", "scoring", "mask_validation", "per_user"},
+    "eval": REPORT_OPTIONS | {"k", "scoring", "per_user"},
     "analyze": REPORT_OPTIONS | {"ratio", "pairs", "world"},
 }
 
