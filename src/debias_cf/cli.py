@@ -164,6 +164,7 @@ def _save_split(cfg: dict, command: str, interactions):
 def _cmd_split(cfg: dict) -> int:
     if not cfg["data"]:
         raise ConfigError("split requires --data")
+    data_mod.check_split_options(cfg["test_frac"], cfg["valid_frac"], cfg["sampling"])
     interactions = data_mod.load_interactions(cfg["data"], lenient=cfg["lenient"])
     _, bundle = _save_split(cfg, "split", interactions)
     log.info(
@@ -174,6 +175,7 @@ def _cmd_split(cfg: dict) -> int:
 
 
 def _cmd_synth(cfg: dict) -> int:
+    data_mod.check_split_options(cfg["test_frac"], cfg["valid_frac"], cfg["sampling"])
     world = data_mod.generate_synthetic_world(
         cfg["m"], cfg["n"], cfg["skew"], cfg["seed"]
     )
@@ -247,6 +249,7 @@ def _write_report(cfg: dict, command: str, name: str, payload: dict) -> Path:
 
 
 def _cmd_eval(cfg: dict) -> int:
+    evaluation.check_topk_options(cfg["k"], cfg["scoring"])
     model, bundle = _load_run(cfg)
     report = evaluation.evaluate_topk(
         model, bundle.train, bundle.test, k=cfg["k"], scoring=cfg["scoring"],
@@ -263,14 +266,13 @@ def _cmd_eval(cfg: dict) -> int:
 
 
 def _cmd_analyze(cfg: dict) -> int:
-    model, bundle = _load_run(cfg)
-    pair_sets = {
-        "train": bundle.train, "validation": bundle.validation, "test": bundle.test,
-    }
-    if cfg["pairs"] not in pair_sets:
+    if cfg["pairs"] not in ("train", "validation", "test"):
         raise ConfigError(f"unknown pair set {cfg['pairs']!r}")
+    evaluation.check_ratio(cfg["ratio"])
+    model, bundle = _load_run(cfg)
+    pairs = getattr(bundle, cfg["pairs"])
     report = evaluation.group_alignment(
-        model, pair_sets[cfg["pairs"]], bundle.train.user_counts(),
+        model, pairs, bundle.train.user_counts(),
         bundle.train.item_counts(), ratio=cfg["ratio"],
     )
     # An empty popularity group's NaN is written as null, which JSON has.
@@ -279,9 +281,7 @@ def _cmd_analyze(cfg: dict) -> int:
     payload["pairs"] = cfg["pairs"]
     if cfg["world"]:
         world = data_mod.load_world(cfg["world"])
-        payload["ideal_align"] = ideal_alignment_loss(
-            model, world, pair_sets[cfg["pairs"]]
-        )
+        payload["ideal_align"] = ideal_alignment_loss(model, world, pairs)
     _write_report(cfg, "analyze", "group-alignment.json", payload)
     return 0
 

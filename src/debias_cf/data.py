@@ -216,6 +216,16 @@ def _draw(rng: np.random.Generator, idx: np.ndarray, rate: float, out: np.ndarra
         out[idx[rng.choice(len(idx), size=min(quota, len(idx)), replace=False)]] = True
 
 
+def check_split_options(test_frac: float, valid_frac: float, sampling: str) -> None:
+    """The usage rules of split_unbiased_protocol's options."""
+    if not (0 < test_frac < 1 and 0 < valid_frac < 1):
+        raise ConfigError("test_frac and valid_frac must lie in (0, 1)")
+    if test_frac + valid_frac >= 1:
+        raise ConfigError("test_frac + valid_frac must be < 1")
+    if sampling not in ("per_item", "global_uniform"):
+        raise ConfigError(f"unknown sampling mode {sampling!r}")
+
+
 def split_unbiased_protocol(
     data: InteractionSet,
     test_frac: float,
@@ -236,12 +246,7 @@ def split_unbiased_protocol(
     Users left with no training interaction get one pair moved back from
     validation (preferred) or test, so every user stays trainable.
     """
-    if not (0 < test_frac < 1 and 0 < valid_frac < 1):
-        raise ConfigError("test_frac and valid_frac must lie in (0, 1)")
-    if test_frac + valid_frac >= 1:
-        raise ConfigError("test_frac + valid_frac must be < 1")
-    if sampling not in ("per_item", "global_uniform"):
-        raise ConfigError(f"unknown sampling mode {sampling!r}")
+    check_split_options(test_frac, valid_frac, sampling)
     if len(data) == 0:
         raise DataError("cannot split an empty interaction set")
 

@@ -121,6 +121,14 @@ def _eval_users(
     return recall, ndcg
 
 
+def check_topk_options(k: int, scoring: str) -> None:
+    """The usage rules of evaluate_topk's k and scoring."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if scoring not in ("dot", "cosine"):
+        raise ConfigError(f"unknown scoring rule {scoring!r}")
+
+
 def evaluate_topk(
     model: EmbeddingTable,
     train: InteractionSet,
@@ -145,10 +153,7 @@ def evaluate_topk(
     NumericalError; a train, test or mask set of other dimensions than the
     model raises DataError.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    if scoring not in ("dot", "cosine"):
-        raise ConfigError(f"unknown scoring rule {scoring!r}")
+    check_topk_options(k, scoring)
     if len(test) == 0:
         raise DataError("test set is empty")
     for name, pairs in (("test", test), ("train", train), ("mask_extra", mask_extra)):
@@ -208,6 +213,12 @@ def _popular_mask(counts: np.ndarray, ratio: float) -> np.ndarray:
     return mask
 
 
+def check_ratio(ratio: float) -> None:
+    """The usage rule of group_alignment's ratio."""
+    if not 0 < ratio < 1:
+        raise ConfigError("ratio must lie in (0, 1)")
+
+
 def group_alignment(
     model: EmbeddingTable,
     pairs: InteractionSet,
@@ -223,8 +234,7 @@ def group_alignment(
     pair-count weighted mean of the two groups equals the overall
     alignment on either side.
     """
-    if not 0 < ratio < 1:
-        raise ConfigError("ratio must lie in (0, 1)")
+    check_ratio(ratio)
     if len(pairs) == 0:
         raise DataError("group alignment needs a non-empty pair set")
     if len(user_counts) != model.m or len(item_counts) != model.n:

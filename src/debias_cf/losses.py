@@ -7,7 +7,9 @@ The contrastive objective decomposes into two pieces:
   user-item pairs:  (1/B) sum_k w_k ||u_k - i_k||^2.
 * uniformity - log of the mean Gaussian kernel over distinct same-side
   pairs:  log mean_{k != l} exp(-2 ||x_k - x_l||^2), computed separately
-  for users and items and averaged.
+  for users and items and averaged. Its kernels take unit rows, for which
+  ||x - y||^2 = 2 - 2 x.y, so each kernel is exp(4 (G - 1)) of one Gram
+  product G.
 
 With unit weights the alignment matches what click data trains directly;
 with weights 1/omega it is an inverse-propensity-weighted estimator whose
@@ -85,50 +87,31 @@ def pair_sq_dists(u_norm: np.ndarray, i_norm: np.ndarray) -> np.ndarray:
     return np.einsum("bd,bd->b", diff, diff)
 
 
-#: Rows of the B x B kernel built per pass in uniformity_value_grad; one
-#: block and its temporary stay in L2 cache at the trainer's batch sizes.
-UNIFORMITY_BLOCK_ROWS = 32
-
-
 def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
-    """log mean_{k != l} exp(-2 ||x_k - x_l||^2) over ordered distinct pairs.
+    """log mean_{k != l} exp(-2 ||x_k - x_l||^2) over ordered distinct pairs
+    of unit rows.
 
-    With S = sum_{k != l} exp(-2 d_kl^2), the gradient is
-    d/dx_k = -(8/S) sum_{l != k} e_kl (x_k - x_l).
+    With S = sum_{k != l} e_kl, e_kl = exp(4 (x_k . x_l - 1)), the gradient
+    is d/dx_k = (8/S) sum_{l != k} e_kl x_l. The distance form's gradient
+    differs from it only by a multiple of x_k, which the chain rule through
+    the normalization projects out.
     """
     vecs, kernel, total, value = _uniformity_kernel(vecs)
-    grad = (-8.0 / total) * (kernel.sum(axis=1)[:, None] * vecs - kernel @ vecs)
-    return value, grad
+    return value, (8.0 / total) * (kernel @ vecs)
 
 
 def _uniformity_kernel(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The rows as float64, their B x B kernel exp(-2 d_kl^2) with a zero
+    """The rows as float64, their B x B kernel exp(4 (G - 1)) with a zero
     diagonal, its sum S and the uniformity value log(S / (B (B - 1))).
-
-    The kernel overwrites the Gram matrix block by block, with the same
-    elementwise operations in the same order as the unblocked formula
-    exp(-2 max(sqn_k + sqn_l - 2 G_kl, 0)), so results are bit-identical
-    to it.
-    """
+    Built in place from the Gram matrix G."""
     vecs = np.asarray(vecs, dtype=np.float64)
     b = vecs.shape[0]
     if b < 2:
         raise ConfigError("uniformity needs at least 2 vectors")
-    # vecs @ vecs.T takes BLAS's symmetric (syrk) path; a general product
-    # of vecs with a transposed copy can differ in the last bit.
     kernel = vecs @ vecs.T
-    sqn = kernel.diagonal().copy()
-    tmp = np.empty((min(UNIFORMITY_BLOCK_ROWS, b), b))
-    for r0 in range(0, b, UNIFORMITY_BLOCK_ROWS):
-        r1 = min(r0 + UNIFORMITY_BLOCK_ROWS, b)
-        blk = kernel[r0:r1]
-        t = tmp[: r1 - r0]
-        np.add(sqn[r0:r1, None], sqn[None, :], out=t)
-        blk *= 2.0
-        np.subtract(t, blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-        blk *= -2.0
-        np.exp(blk, out=blk)
+    kernel -= 1.0
+    kernel *= 4.0
+    np.exp(kernel, out=kernel)
     kernel.flat[:: b + 1] = 0.0  # np.fill_diagonal without its checks
     total = kernel.sum()
     return vecs, kernel, total, float(math.log(total / (b * (b - 1))))

@@ -83,8 +83,7 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
-        if self.scoring not in ("dot", "cosine"):
-            raise ConfigError(f"unknown scoring rule {self.scoring!r}")
+        evaluation.check_topk_options(SELECTION_K, self.scoring)
         return self
 
 

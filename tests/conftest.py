@@ -135,8 +135,10 @@ def reference_eval_users(users, user_mat, item_mat, k, masks, test, idcg):
 
 
 def reference_uniformity_value_grad(vecs):
-    """uniformity_value_grad unblocked: whole B x B temporaries, one
-    expression per step."""
+    """uniformity_value_grad in the distance form, from squared norms:
+    exp(-2 max(||x_k||^2 + ||x_l||^2 - 2 G_kl, 0)) and its gradient
+    -(8/S) sum_l e_kl (x_k - x_l). On unit rows it agrees with the kernel
+    in value and in the gradient's part tangent to each row."""
     vecs = np.asarray(vecs, dtype=np.float64)
     b = vecs.shape[0]
     gram = vecs @ vecs.T

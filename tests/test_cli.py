@@ -483,6 +483,31 @@ class TestErrors:
         assert not (out / "checkpoint.bin").exists()
         assert json.loads((out / "resolved-config.json").read_text())["command"] == "synth"
 
+    @pytest.mark.parametrize("args", [
+        ["eval", "--k", "0"],
+        ["analyze", "--pairs", "nope"],
+        ["analyze", "--ratio", "2"],
+        ["split", "--test-frac", "2"],
+        ["split", "--sampling", "bogus"],
+        ["synth", "--test-frac", "2"],
+    ], ids=lambda args: "-".join(arg.lstrip("-") for arg in args))
+    def test_bad_option_is_usage_error_before_any_input_is_read(
+        self, tmp_path, monkeypatch, args
+    ):
+        # The inputs do not exist: reading one first would exit 2.
+        from debias_cf import cli
+
+        def unexpected(*a, **kw):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr(cli.data_mod, "generate_synthetic_world", unexpected)
+        missing = str(tmp_path / "missing")
+        inputs = {"split": ["--data", missing + ".tsv"], "synth": []}.get(
+            args[0], ["--run-dir", missing, "--data-dir", missing])
+        out = tmp_path / "out"
+        assert main([*args, *inputs, "--out-dir", str(out), "--quiet"]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["split", "synth", "train"])
     def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
         args = input_args(tmp_path, command)

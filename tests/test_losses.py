@@ -169,19 +169,11 @@ class TestUniformity:
         )
         assert max_relative_error(grad, fd) < 1e-6
 
-    @pytest.mark.parametrize(
-        "b",
-        [
-            2,
-            3,
-            losses.UNIFORMITY_BLOCK_ROWS - 1,
-            losses.UNIFORMITY_BLOCK_ROWS,
-            losses.UNIFORMITY_BLOCK_ROWS + 1,
-            2 * losses.UNIFORMITY_BLOCK_ROWS + 1,
-            750,
-        ],
-    )
-    def test_blocked_kernel_bit_identical_to_unblocked(self, b):
+    @pytest.mark.parametrize("b", [2, 3, 31, 32, 33, 65, 750])
+    def test_matches_distance_form_on_unit_rows(self, b):
+        # On unit rows exp(4 (G - 1)) is the distance form's kernel; the
+        # gradients differ by a multiple of each row, so their tangential
+        # parts g - (g.x) x agree.
         rng = np.random.default_rng(b)
         vecs = normalize_rows(rng.normal(size=(b, 16)))
         vecs[b - 1] = vecs[0]  # a duplicate row: d2 = 0 off the diagonal
@@ -189,8 +181,31 @@ class TestUniformity:
         vecs[b // 2, 0] = 1.0  # e1, the degenerate-row fallback
         value, grad = losses.uniformity_value_grad(vecs)
         ref_value, ref_grad = reference_uniformity_value_grad(vecs)
-        assert value == ref_value
-        assert np.array_equal(grad, ref_grad)
+        assert abs(value - ref_value) <= 1e-14 * abs(ref_value)
+
+        def tangential(g):
+            return g - np.einsum("bd,bd->b", g, vecs)[:, None] * vecs
+
+        ref_tan = tangential(ref_grad)
+        assert np.abs(tangential(grad) - ref_tan).max() <= 1e-12 * np.abs(ref_tan).max()
+
+    @pytest.mark.parametrize("coeff", [0.7, 1.0])
+    def test_raw_row_gradient_matches_distance_form(self, rng, coeff):
+        # Through the chain rule the part along each row drops out, so the
+        # raw-row gradient equals the distance form's, degenerate row included.
+        inv = np.array([0, 2, 1, 2, 0, 3, 4, 1, 5, 5])
+        pair_grads = rng.normal(size=(10, 6))
+        raw = rng.normal(size=(6, 6)) * rng.uniform(0.1, 3.0, size=(6, 1))
+        raw[4] = 0.0
+        unit_rows = normalize_rows_full(raw)
+        grad, unif = losses._accumulate_side(inv, pair_grads, unit_rows, coeff)
+        ref_value, ref_grad = reference_uniformity_value_grad(unit_rows[0])
+        expected = normalize_rows_backward(
+            *unit_rows,
+            reference_scatter_rows(inv, pair_grads, 6) + (coeff / 2.0) * ref_grad,
+        )
+        assert abs(unif - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31))
