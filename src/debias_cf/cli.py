@@ -26,7 +26,7 @@ from . import evaluation, trainer
 from .embedding import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
 from .losses import ideal_alignment_loss
-from .util import atomic_write
+from .util import atomic_write, check_seed
 
 log = logging.getLogger(__name__)
 
@@ -165,6 +165,7 @@ def _cmd_split(cfg: dict) -> int:
     if not cfg["data"]:
         raise ConfigError("split requires --data")
     data_mod.check_split_options(cfg["test_frac"], cfg["valid_frac"], cfg["sampling"])
+    check_seed(cfg["seed"])  # before the log is read
     interactions = data_mod.load_interactions(cfg["data"], lenient=cfg["lenient"])
     _, bundle = _save_split(cfg, "split", interactions)
     log.info(

@@ -8,8 +8,9 @@ The contrastive objective decomposes into two pieces:
 * uniformity - log of the mean Gaussian kernel over distinct same-side
   pairs:  log mean_{k != l} exp(-2 ||x_k - x_l||^2), computed separately
   for users and items and averaged. Its kernels take unit rows, for which
-  ||x - y||^2 = 2 - 2 x.y, so each kernel is exp(4 (G - 1)) of one Gram
-  product G.
+  ||x - y||^2 = 2 - 2 x.y, so each kernel is exp(4 (G - 1)) of the Gram
+  product G, built UNIFORMITY_BLOCK_ROWS rows at a time over its upper
+  block triangle (a block right of the diagonal counts for its mirror too).
 
 With unit weights the alignment matches what click data trains directly;
 with weights 1/omega it is an inverse-propensity-weighted estimator whose
@@ -48,6 +49,9 @@ from .embedding import (
 from .errors import ConfigError, DataError
 from .propensity import project_rows
 from .util import both
+
+#: Rows per block of the uniformity kernel; a side with no more is one block.
+UNIFORMITY_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -96,25 +100,29 @@ def uniformity_value_grad(vecs: np.ndarray) -> tuple[float, np.ndarray]:
     differs from it only by a multiple of x_k, which the chain rule through
     the normalization projects out.
     """
-    vecs, kernel, total, value = _uniformity_kernel(vecs)
-    return value, (8.0 / total) * (kernel @ vecs)
+    return _uniformity(vecs, with_grad=True)
 
 
-def _uniformity_kernel(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The rows as float64, their B x B kernel exp(4 (G - 1)) with a zero
-    diagonal, its sum S and the uniformity value log(S / (B (B - 1))).
-    Built in place from the Gram matrix G."""
+def _uniformity(vecs: np.ndarray, with_grad: bool) -> tuple[float, np.ndarray | None]:
+    """The uniformity value and its gradient (None without with_grad)."""
     vecs = np.asarray(vecs, dtype=np.float64)
     b = vecs.shape[0]
     if b < 2:
         raise ConfigError("uniformity needs at least 2 vectors")
-    kernel = vecs @ vecs.T
-    kernel -= 1.0
-    kernel *= 4.0
-    np.exp(kernel, out=kernel)
-    kernel.flat[:: b + 1] = 0.0  # np.fill_diagonal without its checks
-    total = kernel.sum()
-    return vecs, kernel, total, float(math.log(total / (b * (b - 1))))
+    total, grad = 0.0, np.zeros_like(vecs) if with_grad else None
+    for r0 in range(0, b, UNIFORMITY_BLOCK_ROWS):
+        rows, cols = vecs[r0 : r0 + UNIFORMITY_BLOCK_ROWS], vecs[r0:]
+        r = len(rows)
+        blk = rows @ cols.T
+        blk -= 1.0
+        blk *= 4.0
+        np.exp(blk, out=blk)
+        blk.flat[:: b - r0 + 1] = 0.0  # the diagonal: blk is no taller than wide
+        total += blk[:, :r].sum() + 2.0 * blk[:, r:].sum()  # the mirror counts too
+        if with_grad:  # the mirror carries the gradient to the later rows
+            grad[r0 : r0 + r] += blk @ cols
+            grad[r0 + r :] += blk[:, r:].T @ rows
+    return math.log(total / (b * (b - 1))), None if grad is None else (8.0 / total) * grad
 
 
 def ideal_alignment_loss(
@@ -175,7 +183,7 @@ def _accumulate_side(
     if rows_norm.shape[0] < 2:
         unif = 0.0
     elif coeff == 0.0:  # the value is only logged
-        unif = _uniformity_kernel(rows_norm)[3]
+        unif = _uniformity(rows_norm, with_grad=False)[0]
     else:
         unif, g_unif = uniformity_value_grad(rows_norm)
         grad += (coeff / 2.0) * g_unif

@@ -226,7 +226,7 @@ def init_state(m: int, n: int, config: TrainConfig) -> TrainState:
     return TrainState(model, projections, opt)
 
 
-def _check_finite_grads(grads: dict, step: int) -> None:
+def _check_finite(grads: dict, values: dict, step: int) -> None:
     for name, g in grads.items():
         if isinstance(g, tuple):
             g = g[1]
@@ -234,6 +234,9 @@ def _check_finite_grads(grads: dict, step: int) -> None:
             raise NumericalError(
                 f"non-finite gradient in tensor {name!r} at step {step}"
             )
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite loss term {name!r} at step {step}")
 
 
 def train_step(
@@ -244,9 +247,9 @@ def train_step(
 ) -> dict[str, float]:
     """One optimizer step on one batch of positive pairs. Mutates state
     and returns the batch's train-log values: the main terms, the relation
-    terms (zero without a relation term) and their summed total. weights,
-    one per pair, is required by the ipw objectives; None is unit weights
-    for directau, and uctrl learns its own."""
+    terms (zero without one) and their total, checked finite with the
+    gradients before the update. weights, one per pair, is required by the
+    ipw objectives; None is unit weights for directau, uctrl learns its own."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     model, proj = state.model, state.projections
     uids, u_inv = np.unique(pairs[:, 0], return_inverse=True)
@@ -290,11 +293,7 @@ def train_step(
     # so their moments still decay (dense-Adam semantics).
     grads["user_vecs"] = (uids, g_user)
     grads["item_vecs"] = (iids, g_item)
-    _check_finite_grads(grads, state.opt.t + 1)
-
-    state.opt.step(_tensors(model, proj), grads)
-
-    return {
+    values = {
         "align": main_terms.align,
         "uniform_user": main_terms.uniform_user,
         "uniform_item": main_terms.uniform_item,
@@ -302,6 +301,9 @@ def train_step(
         "relation_uniform": (rel.uniform_user + rel.uniform_item) / 2.0,
         "total": main_terms.total + rel.total,
     }
+    _check_finite(grads, values, state.opt.t + 1)
+    state.opt.step(_tensors(model, proj), grads)
+    return values
 
 
 def learned_propensities(

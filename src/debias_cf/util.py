@@ -14,14 +14,18 @@ import numpy as np
 from .errors import ConfigError
 
 
+def check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def rng_from(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic generator for (seed, purpose-tags).
 
     Distinct tag tuples yield independent streams, so subsystems never
     share or race on one generator. A negative seed is a ConfigError.
     """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 

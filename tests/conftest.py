@@ -152,6 +152,22 @@ def reference_uniformity_value_grad(vecs):
     return value, grad
 
 
+def reference_uniformity_single_matrix(vecs):
+    """uniformity_value_grad as one B x B matrix: exp(4 (G - 1)) built in
+    place from the whole Gram product G, a zero diagonal, its sum S, the
+    value log(S / (B (B - 1))) and the gradient (8/S) K x. The block loop
+    computes exactly this when the rows fit in one block."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    b = vecs.shape[0]
+    kernel = vecs @ vecs.T
+    kernel -= 1.0
+    kernel *= 4.0
+    np.exp(kernel, out=kernel)
+    kernel.flat[:: b + 1] = 0.0
+    total = kernel.sum()
+    return float(math.log(total / (b * (b - 1)))), (8.0 / total) * (kernel @ vecs)
+
+
 def reference_relation_param_grads(
     base_user_norm, base_item_norm, u_inv, i_inv, m_user, m_item, lambda_rel
 ):

@@ -517,6 +517,24 @@ class TestErrors:
         ]) == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("present", [False, True])
+    def test_split_refuses_negative_seed_before_reading_the_log(
+        self, tmp_path, monkeypatch, capsys, present
+    ):
+        from debias_cf import cli
+
+        def unexpected(*a, **kw):
+            raise AssertionError("the log was parsed")
+
+        data = write_log(tmp_path) if present else tmp_path / "missing.tsv"
+        monkeypatch.setattr(cli.data_mod, "load_interactions", unexpected)
+        out = tmp_path / "o"
+        assert main([
+            "split", "--data", str(data), "--seed", "-2", "--out-dir", str(out), "--quiet",
+        ]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_plus_flag_precedence(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from conftest import (
     max_relative_error,
     reference_relation_param_grads,
     reference_scatter_rows,
+    reference_uniformity_single_matrix,
     reference_uniformity_value_grad,
     world_cells,
 )
@@ -169,11 +171,50 @@ class TestUniformity:
         )
         assert max_relative_error(grad, fd) < 1e-6
 
-    @pytest.mark.parametrize("b", [2, 3, 31, 32, 33, 65, 750])
+    @pytest.mark.parametrize("b", [2, 3, 127, 128])
+    def test_single_block_bit_identical_to_single_matrix(self, b):
+        # A side of at most UNIFORMITY_BLOCK_ROWS rows is one block: the
+        # whole kernel, summed and multiplied as one matrix.
+        assert b <= losses.UNIFORMITY_BLOCK_ROWS
+        rng = np.random.default_rng(b)
+        unit_rows = normalize_rows_full(rng.normal(size=(b, 16)))
+        ref_value, ref_grad = reference_uniformity_single_matrix(unit_rows[0])
+        value, grad = losses.uniformity_value_grad(unit_rows[0])
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        inv = rng.permutation(np.arange(2 * b) % b)
+        unif = losses._accumulate_side(inv, rng.normal(size=(2 * b, 16)), unit_rows, 0.0)[1]
+        assert np.float64(unif).tobytes() == np.float64(ref_value).tobytes()
+
+    def test_value_only_path_matches_gradient_path_across_blocks(self, rng):
+        # Coefficient 0 runs the same block loop without the gradient
+        # products, so the logged value is the same bits.
+        b = 300
+        unit_rows = normalize_rows_full(rng.normal(size=(b, 16)))
+        value, _ = losses.uniformity_value_grad(unit_rows[0])
+        unif = losses._accumulate_side(np.arange(b), rng.normal(size=(b, 16)), unit_rows, 0.0)[1]
+        assert np.float64(unif).tobytes() == np.float64(value).tobytes()
+
+    def test_memory_is_block_rows_by_batch(self):
+        # No B x B matrix: one call at B = 1024, d = 64 stays below four
+        # UNIFORMITY_BLOCK_ROWS x B float64 blocks (the single matrix
+        # peaked at about 9.4 MB).
+        b = 1024
+        vecs = normalize_rows(np.random.default_rng(0).normal(size=(b, 64)))
+        tracemalloc.start()
+        try:
+            losses.uniformity_value_grad(vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * losses.UNIFORMITY_BLOCK_ROWS * b * 8
+
+    @pytest.mark.parametrize("b", [2, 3, 31, 32, 33, 65, 129, 255, 256, 257, 750, 1024])
     def test_matches_distance_form_on_unit_rows(self, b):
         # On unit rows exp(4 (G - 1)) is the distance form's kernel; the
         # gradients differ by a multiple of each row, so their tangential
-        # parts g - (g.x) x agree.
+        # parts g - (g.x) x agree. Above 128 rows the duplicate row, the e1
+        # row and row 0 fall in different blocks.
         rng = np.random.default_rng(b)
         vecs = normalize_rows(rng.normal(size=(b, 16)))
         vecs[b - 1] = vecs[0]  # a duplicate row: d2 = 0 off the diagonal

@@ -179,6 +179,26 @@ class TestTrainStep:
             train_step(state, bundle.train.pairs[:8], config)
 
     @pytest.mark.parametrize("objective", ["directau", "uctrl"])
+    def test_nan_loss_value_aborts_before_the_update(self, objective, monkeypatch):
+        # A non-finite loss value with finite gradients moves no parameter.
+        _, bundle = toy_bundle()
+        config = small_config(objective=objective)
+        state = init_state(bundle.train.m, bundle.train.n, config)
+        before = {name: t.copy() for name, t in trainer._tensors(
+            state.model, state.projections).items()}
+        real = losses.alignment_value_grad
+
+        def nan_value(*args):
+            return (np.nan, *real(*args)[1:])
+
+        monkeypatch.setattr(losses, "alignment_value_grad", nan_value)
+        with pytest.raises(NumericalError, match="'align' at step 1"):
+            train_step(state, bundle.train.pairs[:8], config)
+        assert state.opt.t == 0
+        for name, t in trainer._tensors(state.model, state.projections).items():
+            assert t.tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("objective", ["directau", "uctrl"])
     def test_degenerate_row_logged_once_per_step(self, objective, caplog):
         _, bundle = toy_bundle(seed=12, m=5, n=5)
         config = small_config(objective=objective, seed=15)
