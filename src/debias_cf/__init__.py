@@ -1,7 +1,7 @@
 """Collaborative-filtering training and evaluation with popularity-bias
 correction: contrastive alignment/uniformity objectives, inverse-propensity
 weighting with learned relation-space propensities, a synthetic
-missing-not-at-random click generator, and unbiased top-K evaluation."""
+missing-not-at-random click generator, and full-ranking top-K evaluation."""
 
 from .data import (
     InteractionSet,

@@ -1,23 +1,20 @@
-"""Interaction ingestion, indexed sparse structures, popularity-debiased
+"""Interaction ingestion, indexed sparse structures, train/validation/test
 splitting, and the synthetic missing-not-at-random click generator."""
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 import struct
 from dataclasses import dataclass, field
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .util import atomic_write, rng_from, sigmoid
-
-log = logging.getLogger(__name__)
 
 WORLD_MAGIC = b"SYNW"
 WORLD_VERSION = 2
@@ -377,9 +374,10 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     """Draw one click matrix: cell (u, i) clicks with probability
     exposure * relevance, independently.
 
-    A user whose row comes up empty is redrawn up to 10 times and then
-    assigned their single highest-probability item, so every user is
-    trainable.
+    A user whose row comes up empty is redrawn after all blocks, in user
+    order, from exposure_cells * relevance_cells over their n cells: up to
+    10 times, then assigned their single highest-probability item, so
+    every user is trainable.
 
     The draws come one row block at a time, the same stream as one m x n
     draw. A draw at or above the cell's exposure cannot click, since
@@ -404,21 +402,18 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
         cand[cand] = u[cand] < prob  # now the block's clicks
         keys.append(np.flatnonzero(cand) + rows.start * n)
         empty += (np.flatnonzero(~cand.any(axis=1)) + rows.start).tolist()
-    for b, users in groupby(empty, key=lambda user: user // _ROW_BLOCK):
-        rows = blocks[b]
-        logits = _logits(world, rows, out=cells[: rows.stop - rows.start])
-        redrawn = [keys[b]]
-        for user in users:
-            prob = np.multiply(_exposure(world.activity[user] * world.item_weight),
-                               _relevance(logits[user - rows.start]), dtype=np.float64)
-            for _ in range(10):
-                row = np.flatnonzero(rng.random(n) < prob)
-                if len(row):
-                    break
-            else:
-                row = np.argmax(prob, keepdims=True)
-            redrawn.append(user * n + row)
-        keys[b] = np.sort(np.concatenate(redrawn))
+    for user in empty:
+        pairs = np.stack([np.full(n, user), np.arange(n)], axis=1)
+        prob = np.multiply(exposure_cells(world, pairs), relevance_cells(world, pairs),
+                           dtype=np.float64)
+        for _ in range(10):
+            row = np.flatnonzero(rng.random(n) < prob)
+            if len(row):
+                break
+        else:
+            row = np.argmax(prob, keepdims=True)
+        b = user // _ROW_BLOCK
+        keys[b] = np.insert(keys[b], np.searchsorted(keys[b], user * n), user * n + row)
     key = np.concatenate(keys)
     return InteractionSet(world.m, n, np.stack([key // n, key % n], axis=1))
 

@@ -34,7 +34,7 @@ from .embedding import (
     normalize_rows_full,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .util import rng_from
+from .util import check_seed, rng_from
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +61,7 @@ class TrainConfig:
     propensity_grad_through: bool = False
 
     def validate(self) -> "TrainConfig":
+        check_seed(self.seed)
         # NaN and inf slip past the range checks below.
         for name in ("lr", "gamma", "lambda_rel", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
@@ -323,13 +324,6 @@ def learned_propensities(
     return omega
 
 
-def _default_eval(model, train, validation, scoring):
-    report = evaluation.evaluate_topk(
-        model, train, validation, k=SELECTION_K, scoring=scoring
-    )
-    return report.recall_at_k, report.ndcg_at_k
-
-
 def train(
     data: SplitBundle,
     config: TrainConfig,
@@ -339,12 +333,12 @@ def train(
     """Run the full loop and keep the checkpoint with the best validation
     ranking quality.
 
-    eval_fn(model, projections, epoch) -> (recall, ndcg) may be injected
-    for tests; the default ranks the validation set with the training items
-    masked. History records one JSON-ready dict per epoch, and each epoch
-    logs one INFO line. A non-finite value in the final or best tensors
-    raises NumericalError: the per-step gradient check cannot see what the
-    last steps write.
+    eval_fn(model, projections, epoch) -> (recall, ndcg) may be injected, as
+    tests do and as the benchmark does to time validation; the default ranks
+    the validation pairs, if any, with the training items masked. History
+    records one JSON-ready dict per epoch, and each epoch logs one INFO line.
+    A non-finite value in the final or best tensors raises NumericalError:
+    the per-step gradient check cannot see what the last steps write.
     """
     config.validate()
     train_set = data.train
@@ -366,11 +360,12 @@ def train(
         _, weights = propensity.inverse_weights(table[train_set.pairs[:, 1]], config.mu)
 
     state = init_state(train_set.m, train_set.n, config)
-    can_eval = eval_fn is not None or len(data.validation) > 0
-    if eval_fn is None and can_eval:
-        eval_fn = lambda model, proj, epoch: _default_eval(  # noqa: E731
-            model, train_set, data.validation, config.scoring
-        )
+    if eval_fn is None and len(data.validation):
+        def eval_fn(model, projections, epoch):
+            report = evaluation.evaluate_topk(
+                model, train_set, data.validation, k=SELECTION_K, scoring=config.scoring
+            )
+            return report.recall_at_k, report.ndcg_at_k
 
     best_metric = None
     best_epoch = None
@@ -389,7 +384,7 @@ def train(
         record["epoch"] = epoch
 
         val_recall = val_ndcg = None
-        if can_eval and (epoch % config.eval_every == 0 or epoch == config.epochs):
+        if eval_fn is not None and (epoch % config.eval_every == 0 or epoch == config.epochs):
             val_recall, val_ndcg = eval_fn(state.model, state.projections, epoch)
             if val_ndcg is not None and (
                 best_metric is None or val_ndcg > best_metric

@@ -518,19 +518,26 @@ class TestErrors:
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("present", [False, True])
-    def test_split_refuses_negative_seed_before_reading_the_log(
-        self, tmp_path, monkeypatch, capsys, present
+    @pytest.mark.parametrize("command", ["split", "train"])
+    def test_negative_seed_refused_before_reading_inputs(
+        self, tmp_path, monkeypatch, capsys, command, present
     ):
         from debias_cf import cli
 
         def unexpected(*a, **kw):
-            raise AssertionError("the log was parsed")
+            raise AssertionError("an input was read")
 
-        data = write_log(tmp_path) if present else tmp_path / "missing.tsv"
-        monkeypatch.setattr(cli.data_mod, "load_interactions", unexpected)
+        if command == "split":
+            data = write_log(tmp_path) if present else tmp_path / "missing.tsv"
+            monkeypatch.setattr(cli.data_mod, "load_interactions", unexpected)
+            inputs = ["--data", str(data)]
+        else:
+            data = synth_split(tmp_path) if present else tmp_path / "missing"
+            monkeypatch.setattr(cli.data_mod, "load_split", unexpected)
+            inputs = ["--data-dir", str(data)]
         out = tmp_path / "o"
         assert main([
-            "split", "--data", str(data), "--seed", "-2", "--out-dir", str(out), "--quiet",
+            command, *inputs, "--seed", "-2", "--out-dir", str(out), "--quiet",
         ]) == 1
         assert "seed" in capsys.readouterr().err
         assert not out.exists()

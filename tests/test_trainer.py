@@ -426,6 +426,56 @@ class TestTrain:
         assert result.best_val_ndcg == 0.3
         assert np.array_equal(result.best_model.user_vecs, snapshots[2])
 
+    @staticmethod
+    def without_validation(bundle):
+        no_pairs = np.empty((0, 2), dtype=np.int64)
+        return dataclasses.replace(bundle, validation=bundle.train.replaced(no_pairs))
+
+    def test_no_validation_pairs_and_no_eval_fn_rank_nothing(self, monkeypatch):
+        _, bundle = toy_bundle(seed=6)
+
+        def unexpected(*a, **kw):
+            raise AssertionError("validation was ranked")
+
+        monkeypatch.setattr(trainer.evaluation, "evaluate_topk", unexpected)
+        result = train(self.without_validation(bundle), small_config(objective="uctrl", epochs=3))
+        for record in result.history:
+            assert record["val_recall20"] is None and record["val_ndcg20"] is None
+        assert result.best_epoch is None and result.best_val_ndcg is None
+        best = trainer._tensors(result.best_model, result.best_projections)
+        for name, value in trainer._tensors(result.state.model, result.state.projections).items():
+            assert np.array_equal(best[name], value), name
+
+    def test_injected_eval_fn_runs_on_schedule_without_validation_pairs(self):
+        _, bundle = toy_bundle(seed=6)
+        epochs = []
+
+        def eval_fn(model, proj, epoch):
+            epochs.append(epoch)
+            return 0.0, 0.1
+
+        config = small_config(epochs=7, eval_every=3)
+        train(self.without_validation(bundle), config, eval_fn=eval_fn)
+        assert epochs == [3, 6, 7]
+
+    def test_default_eval_ranks_validation_against_the_training_items(self, monkeypatch):
+        _, bundle = toy_bundle(seed=6)
+        calls = []
+        rank = trainer.evaluation.evaluate_topk
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(trainer.evaluation, "evaluate_topk", spy)
+        config = small_config(epochs=1, scoring="cosine")
+        result = train(bundle, config)
+        [(args, kwargs)] = calls
+        assert len(args) == 3
+        assert args[0] is result.state.model
+        assert args[1] is bundle.train and args[2] is bundle.validation
+        assert kwargs == {"k": trainer.SELECTION_K, "scoring": "cosine"}
+
     def test_history_schema(self):
         _, bundle = toy_bundle(seed=6)
         result = train(bundle, small_config(epochs=2, eval_every=2, objective="uctrl"))
