@@ -375,9 +375,10 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     exposure * relevance, independently.
 
     A user whose row comes up empty is redrawn after all blocks, in user
-    order, from exposure_cells * relevance_cells over their n cells: up to
-    10 times, then assigned their single highest-probability item, so
-    every user is trainable.
+    order, from exposure_cells * relevance_cells over their n cells (one
+    call per row block that holds such users): up to 10 times, then
+    assigned their single highest-probability item, so every user is
+    trainable.
 
     The draws come one row block at a time, the same stream as one m x n
     draw. A draw at or above the cell's exposure cannot click, since
@@ -389,8 +390,8 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
     shape = (min(_ROW_BLOCK, world.m), n)  # block buffers, reused by every block
     draw, cells = np.empty(shape), np.empty(shape)
     exposure, below = np.empty(shape, dtype=np.float32), np.empty(shape, dtype=bool)
-    keys, empty = [], []
-    for rows in blocks:
+    keys, redraw = [], []
+    for b, rows in enumerate(blocks):
         k = rows.stop - rows.start
         u, e, cand = draw[:k], exposure[:k], below[:k]
         np.multiply(world.activity[rows, None], world.item_weight, out=cells[:k])
@@ -401,19 +402,24 @@ def sample_clicks(world: SyntheticWorld, seed: int) -> InteractionSet:
         prob = np.multiply(e[cand], _relevance(logits[cand]), dtype=np.float64)
         cand[cand] = u[cand] < prob  # now the block's clicks
         keys.append(np.flatnonzero(cand) + rows.start * n)
-        empty += (np.flatnonzero(~cand.any(axis=1)) + rows.start).tolist()
-    for user in empty:
-        pairs = np.stack([np.full(n, user), np.arange(n)], axis=1)
-        prob = np.multiply(exposure_cells(world, pairs), relevance_cells(world, pairs),
-                           dtype=np.float64)
-        for _ in range(10):
-            row = np.flatnonzero(rng.random(n) < prob)
-            if len(row):
-                break
-        else:
-            row = np.argmax(prob, keepdims=True)
-        b = user // _ROW_BLOCK
-        keys[b] = np.insert(keys[b], np.searchsorted(keys[b], user * n), user * n + row)
+        users = np.flatnonzero(~cand.any(axis=1)) + rows.start
+        if len(users):
+            redraw.append((b, users))
+    for b, users in redraw:
+        pairs = np.stack(np.meshgrid(users, np.arange(n), indexing="ij"), axis=-1)
+        probs = np.multiply(exposure_cells(world, pairs), relevance_cells(world, pairs),
+                            dtype=np.float64).reshape(len(users), n)
+        drawn = []
+        for user, prob in zip(users.tolist(), probs):
+            for _ in range(10):
+                row = np.flatnonzero(rng.random(n) < prob)
+                if len(row):
+                    break
+            else:
+                row = np.argmax(prob, keepdims=True)
+            drawn.append(user * n + row)
+        add = np.concatenate(drawn)
+        keys[b] = np.insert(keys[b], np.searchsorted(keys[b], add), add)
     key = np.concatenate(keys)
     return InteractionSet(world.m, n, np.stack([key // n, key % n], axis=1))
 

@@ -17,6 +17,8 @@ from .losses import pair_sq_dists
 log = logging.getLogger(__name__)
 
 _CHUNK = 64
+#: Items per group of _top_ids' cut (n // _GROUP_WIDTH groups, at least k).
+_GROUP_WIDTH = 32
 
 
 @dataclass
@@ -64,6 +66,31 @@ def _cells(pairs: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.repeat(np.arange(len(users)), lens), pairs.pairs[pos, 1]
 
 
+def _top_ids(neg: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first top columns by a stable ascending sort of its
+    values, and those values: ties go to the lower column.
+
+    Column j < n - n % ng falls into group j % ng of ng = max(top,
+    n // _GROUP_WIDTH) groups. The cut t is the top-th smallest group
+    minimum: at least top groups, so at least top items, hold a value
+    <= t, and with them every item of the stable top. Only the candidates
+    neg <= t, tail columns included, are sorted, by row, value and column;
+    a row whose items all tie has all n of them sorted.
+    """
+    b, n = neg.shape
+    ng = max(top, n // _GROUP_WIDTH)
+    group_min = neg[:, : n - n % ng].reshape(b, n // ng, ng).min(axis=1)
+    cut = np.partition(group_min, top - 1, axis=1)[:, top - 1 : top]
+    flat = np.flatnonzero(neg <= cut)
+    vals = neg.reshape(-1)[flat]
+    # The smallest integer type for the row key: numpy radix-sorts it.
+    rows = (flat // n).astype(np.min_scalar_type(b))
+    order = np.lexsort((vals, rows))
+    first = np.searchsorted(rows, np.arange(b))
+    pick = order[first[:, None] + np.arange(top)]
+    return flat[pick] % n, vals[pick]
+
+
 def _eval_users(
     users: np.ndarray,
     user_mat: np.ndarray,
@@ -82,26 +109,7 @@ def _eval_users(
     for mask in masks:
         neg[_cells(mask, users)] = np.inf
 
-    # The partition head holds the items strictly better than the top-th
-    # value kth plus some items tied with it. It is exact unless an item
-    # outside it also scores kth; only such a row is refilled by the stable
-    # rule: the items better than kth, then the lowest-id tied ones. A
-    # stable sort of the ascending ids then orders them as a stable sort of
-    # all n would.
-    ids = np.argpartition(neg, top - 1, axis=1)[:, :top]
-    head_neg = np.take_along_axis(neg, ids, axis=1)
-    kth = head_neg[:, top - 1 :]
-    # Rows whose minimum outside the head equals kth; the head is restored.
-    np.put_along_axis(neg, ids, np.inf, axis=1)
-    rows = np.flatnonzero(neg.min(axis=1) == kth[:, 0])
-    np.put_along_axis(neg, ids, head_neg, axis=1)
-    sub, cut = neg[rows], kth[rows]
-    better, tied = sub < cut, sub == cut
-    tied &= np.cumsum(tied, axis=1) <= top - np.count_nonzero(better, axis=1)[:, None]
-    ids[rows] = np.nonzero(better | tied)[1].reshape(len(rows), top)
-    ids.sort(axis=1)
-    head_neg = np.take_along_axis(neg, ids, axis=1)
-    ranked = np.take_along_axis(ids, np.argsort(head_neg, axis=1, kind="stable"), axis=1)
+    ranked, head_neg = _top_ids(neg, top)
     # min(top, unmasked candidates): only masked items score +inf.
     n_ranked = np.count_nonzero(head_neg < np.inf, axis=1)
 
@@ -148,10 +156,13 @@ def evaluate_topk(
     aggregate metrics are plain means over the evaluated users.
 
     Users are ranked in blocks of _CHUNK: one matmul scores a block, the
-    masked items are scattered in from the CSR ranges, and a partition
-    picks each row's top k. A model with a non-finite embedding raises
-    NumericalError; a train, test or mask set of other dimensions than the
-    model raises DataError.
+    masked items are scattered in from the CSR ranges, and _top_ids cuts
+    each row at the k-th best of its group minima. At least k groups, so
+    at least k items, score at or above the cut, so it keeps the whole top
+    k; only the items it keeps are sorted, all n in a row whose items all
+    tie. A model with a non-finite embedding raises NumericalError; a
+    train, test or mask set of other dimensions than the model raises
+    DataError.
     """
     check_topk_options(k, scoring)
     if len(test) == 0:

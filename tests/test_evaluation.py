@@ -239,6 +239,69 @@ class TestEvalUsersMatchesReference:
             assert crossing > 0 and plain > 0
 
 
+def cut_case_inputs(rng, case):
+    """User rows, item rows, k, masks and test set of one _top_ids path:
+    n with tail columns past the last full stride of groups; n < 32 * top,
+    so there are top groups; n == top with k > n; every row but the first
+    left fewer than top unmasked items, so the cut is +inf; and a zero
+    model, whose every score ties."""
+    m, n, k = {"tail-columns": (40, 1000, 20), "top-groups": (40, 307, 20),
+               "k-above-n": (12, 20, 25), "short-rows": (20, 300, 20),
+               "zero-model": (20, 300, 20)}[case]
+    items = np.hstack([rng.integers(-2, 3, (n, 2)), rng.normal(size=(n, 2))])
+    users = np.hstack([rng.integers(-2, 3, (m, 2)), rng.normal(size=(m, 2))])
+    users[::2, 2:] = 0.0  # integer scores: ties across the cut
+    if case == "zero-model":
+        users[:] = 0.0
+    grid = rng.random((m, n))
+    train = grid < 0.1
+    if case == "short-rows":
+        train[1:] = rng.random((m - 1, n)) > 5.0 / n
+    test = (grid > 0.7) & ~train
+    test[np.arange(m), rng.integers(0, n, m)] = True
+    return users, items, k, [InteractionSet(m, n, np.argwhere(train))], \
+        InteractionSet(m, n, np.argwhere(test))
+
+
+class TestTopIdsCut:
+    """Each path of the group-minimum cut ranks what reference_eval_users
+    ranks, bit for bit, and _top_ids returns the head of a stable argsort
+    of the whole row."""
+
+    @pytest.mark.parametrize(
+        "case", ["tail-columns", "top-groups", "k-above-n", "short-rows", "zero-model"])
+    def test_bit_identical_to_reference(self, rng, case):
+        user_mat, item_mat, k, masks, test = cut_case_inputs(rng, case)
+        n = len(item_mat)
+        top = min(k, n)
+        idcg = ev._idcg_table(top)
+        users = np.flatnonzero(test.user_counts())
+        got = ev._eval_users(users, user_mat[users], -item_mat, k, masks, test, idcg)
+        want = reference_eval_users(users, user_mat[users], item_mat, k, masks, test, idcg)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+        neg = user_mat[users] @ -item_mat.T
+        neg[ev._cells(masks[0], users)] = np.inf
+        ids, vals = ev._top_ids(neg, top)
+        stable = np.argsort(neg, axis=1, kind="stable")[:, :top]
+        assert np.array_equal(ids, stable)
+        assert np.array_equal(vals, np.take_along_axis(neg, stable, axis=1))
+        # The inputs reach the path the case names.
+        ng = max(top, n // ev._GROUP_WIDTH)
+        cut = np.sort(neg, axis=1)[:, top - 1]
+        if case == "tail-columns":
+            assert n % ng and ng > top
+        elif case == "top-groups":
+            assert ng == top and n % ng
+        elif case == "k-above-n":
+            assert k > n and ng == top == n
+        elif case == "short-rows":
+            assert np.isinf(cut[1:]).all() and np.isfinite(cut[0])
+        else:
+            assert (neg[np.isfinite(neg)] == 0).all()
+
+
 def pinned_ranking_inputs():
     """A 60 x 40 dot-product model with small integer embeddings, so every
     score is exact under any BLAS and many rows tie across the cut, and
