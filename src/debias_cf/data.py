@@ -9,6 +9,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +96,14 @@ def _offsets(column: np.ndarray, size: int) -> np.ndarray:
 
 
 PROTOCOL_TAGS = ("synthetic_debiased", "preprovided")
+_SET_NAMES = ("train", "validation", "test")  # a split's sets, in file order
 
 
 @dataclass
 class SplitBundle:
+    """Three pair sets in one label space: validation and test have train's
+    dimensions and labels, else DataError."""
+
     train: InteractionSet
     validation: InteractionSet
     test: InteractionSet
@@ -107,6 +112,10 @@ class SplitBundle:
     def __post_init__(self):
         if self.protocol_tag not in PROTOCOL_TAGS:
             raise ConfigError(f"unknown protocol tag {self.protocol_tag!r}")
+        space = attrgetter("m", "n", "user_labels", "item_labels")
+        for name in _SET_NAMES[1:]:
+            if space(getattr(self, name)) != space(self.train):
+                raise DataError(f"{name} set: dimensions or labels differ from train's")
 
 
 @dataclass
@@ -443,24 +452,22 @@ def write_tsv(path, *columns) -> None:
 _BAD_LABEL_CHAR = re.compile("[\t\n\r\ud800-\udfff]")  # separators; surrogates lack UTF-8
 
 
-def _check_labels(sets: dict) -> None:
+def _check_labels(bundle: SplitBundle) -> None:
     """DataError naming the set and the label unless load_split reads every
     pair back: labels are str without a _BAD_LABEL_CHAR, and no pair has
-    two blank labels (a blank line). Each label list is checked once."""
-    seen = {}  # id of a label list -> (the list, flags of its blank labels)
-    for name, iset in sets.items():
-        blank = []
-        for labels in iset.labels():
-            if id(labels) not in seen:
-                if not all(map(isinstance, labels, repeat(str))) or _BAD_LABEL_CHAR.search(
-                        "".join(labels)):
-                    bad = next(x for x in labels
-                               if not isinstance(x, str) or _BAD_LABEL_CHAR.search(x))
-                    raise DataError(f"{name} set: label {bad!r} is not a str free of "
-                                    "TAB, LF, CR and surrogates")
-                seen[id(labels)] = labels, np.array([*map(str.strip, labels)], object) == ""
-            blank.append(seen[id(labels)])
-        (users, user_blank), (items, item_blank) = blank
+    two blank labels (a blank line). The sets share train's labels, so the
+    user and the item labels are each checked once."""
+    users, items = bundle.train.labels()
+    for labels in (users, items):
+        if not all(map(isinstance, labels, repeat(str))) or _BAD_LABEL_CHAR.search(
+                "".join(labels)):
+            bad = next(x for x in labels if not isinstance(x, str) or _BAD_LABEL_CHAR.search(x))
+            raise DataError(f"train set: label {bad!r} is not a str free of "
+                            "TAB, LF, CR and surrogates")
+    user_blank, item_blank = (np.array([*map(str.strip, labels)], object) == ""
+                              for labels in (users, items))
+    for name in _SET_NAMES:
+        iset = getattr(bundle, name)
         if (both := user_blank[iset.pairs[:, 0]] & item_blank[iset.pairs[:, 1]]).any():
             u, i = iset.pairs[np.argmax(both)]
             raise DataError(f"{name} set: user label {users[u]!r} and item label "
@@ -471,13 +478,13 @@ def save_split(bundle: SplitBundle, out_dir, seed=None, fractions=None) -> None:
     """Persist a split as train/validation/test TSVs plus a JSON manifest
     carrying dimensions, the id mappings, and the split provenance. Labels
     that load_split could not read back raise DataError before any write."""
-    sets = {"train": bundle.train, "validation": bundle.validation, "test": bundle.test}
-    _check_labels(sets)
+    _check_labels(bundle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, iset in sets.items():
-        users, items = (np.array(labels, dtype=object) for labels in iset.labels())
-        write_tsv(out / f"{name}.tsv", users[iset.pairs[:, 0]], items[iset.pairs[:, 1]])
+    users, items = (np.array(labels, dtype=object) for labels in bundle.train.labels())
+    for name in _SET_NAMES:
+        pairs = getattr(bundle, name).pairs
+        write_tsv(out / f"{name}.tsv", users[pairs[:, 0]], items[pairs[:, 1]])
     ref = bundle.train
     manifest = {
         "m": ref.m,
@@ -524,18 +531,17 @@ def load_split(split_dir) -> SplitBundle:
     protocol_tag = manifest.get("protocol_tag", "preprovided")
     if protocol_tag not in PROTOCOL_TAGS:
         raise DataError(f"{manifest_path}: unknown protocol tag {protocol_tag!r}")
-    names = ("train", "validation", "test")
     sets = [
         InteractionSet(m, n, np.stack(_read_tsv(root / f"{name}.tsv", ids)[:2], axis=1),
                        manifest["user_labels"], manifest["item_labels"])
-        for name in names
+        for name in _SET_NAMES
     ]
     keys = [s.pairs[:, 0] * n + s.pairs[:, 1] for s in sets]
     stacked = np.sort(np.concatenate(keys))
     shared = stacked[1:][stacked[1:] == stacked[:-1]]
     if len(shared):  # each set is duplicate-free, so two sets hold this pair
         key = shared[0]
-        first, second = [name for name, k in zip(names, keys) if (k == key).any()][:2]
+        first, second = [name for name, k in zip(_SET_NAMES, keys) if (k == key).any()][:2]
         user_labels, item_labels = sets[0].labels()
         raise DataError(f"{root}: {first}.tsv and {second}.tsv share the pair "
                         f"({user_labels[key // n]!r}, {item_labels[key % n]!r})")

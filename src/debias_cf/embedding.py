@@ -3,8 +3,10 @@ projection matrices, plus L2 normalization helpers and binary checkpoint
 persistence.
 
 Parameters are held as float32, matching the on-disk checkpoint format so
-that a save/load round trip is bit-exact. Loss and gradient computation
-upcasts to float64.
+that a save/load round trip is bit-exact. float64 starts inside the
+functions that compute on them: normalize_rows_full and
+propensity.project_rows convert their input, so callers pass the float32
+rows and matrices as they are.
 """
 
 from __future__ import annotations

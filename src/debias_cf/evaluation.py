@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -30,17 +30,7 @@ class MetricsReport:
     per_user: list[tuple[int, float, float]] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "recall_at_k": self.recall_at_k,
-            "ndcg_at_k": self.ndcg_at_k,
-            "n_eval_users": self.n_eval_users,
-        }
-        if self.per_user is not None:
-            out["per_user"] = [
-                {"user": u, "recall": r, "ndcg": n} for u, r, n in self.per_user
-            ]
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -178,8 +168,8 @@ def evaluate_topk(
         user_mat = model.user_vecs.astype(np.float64)
         neg_items = -model.item_vecs.astype(np.float64)
     else:
-        user_mat = normalize_rows(model.user_vecs.astype(np.float64))
-        neg_items = -normalize_rows(model.item_vecs.astype(np.float64))
+        user_mat = normalize_rows(model.user_vecs)
+        neg_items = -normalize_rows(model.item_vecs)
 
     masks = [train] if mask_extra is None else [train, mask_extra]
     idcg = _idcg_table(min(k, model.n))
@@ -252,8 +242,8 @@ def group_alignment(
         raise DataError("count vectors do not match model dimensions")
 
     arr = pairs.pairs
-    u_norm = normalize_rows(model.user_vecs[arr[:, 0]].astype(np.float64))
-    i_norm = normalize_rows(model.item_vecs[arr[:, 1]].astype(np.float64))
+    u_norm = normalize_rows(model.user_vecs[arr[:, 0]])
+    i_norm = normalize_rows(model.item_vecs[arr[:, 1]])
     d2 = pair_sq_dists(u_norm, i_norm)
 
     pop_users = _popular_mask(np.asarray(user_counts), ratio)

@@ -140,8 +140,8 @@ def ideal_alignment_loss(
     if len(pair_set) == 0:
         raise ConfigError("ideal alignment needs a non-empty pair set")
     pairs = pair_set.pairs
-    u_norm = normalize_rows(model.user_vecs[pairs[:, 0]].astype(np.float64))
-    i_norm = normalize_rows(model.item_vecs[pairs[:, 1]].astype(np.float64))
+    u_norm = normalize_rows(model.user_vecs[pairs[:, 0]])
+    i_norm = normalize_rows(model.item_vecs[pairs[:, 1]])
     rho = relevance_cells(world, pairs).astype(np.float64)
     return float(np.mean(rho * pair_sq_dists(u_norm, i_norm)))
 

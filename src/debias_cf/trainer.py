@@ -255,24 +255,16 @@ def train_step(
     model, proj = state.model, state.projections
     uids, u_inv = np.unique(pairs[:, 0], return_inverse=True)
     iids, i_inv = np.unique(pairs[:, 1], return_inverse=True)
-    user_unit = normalize_rows_full(model.user_vecs[uids].astype(np.float64))
-    item_unit = normalize_rows_full(model.item_vecs[iids].astype(np.float64))
+    user_unit = normalize_rows_full(model.user_vecs[uids])
+    item_unit = normalize_rows_full(model.item_vecs[iids])
 
     rel = losses.LossTerms(0.0, 0.0, 0.0, 0.0)  # no relation term
     grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
     if config.objective == "uctrl":
         base_u_norm, base_i_norm = user_unit[0], item_unit[0]
         rel, g_mu, g_mi, forward = losses.relation_param_grads(
-            base_u_norm,
-            base_i_norm,
-            u_inv,
-            i_inv,
-            proj.m_user.astype(np.float64),
-            proj.m_item.astype(np.float64),
-            config.lambda_rel,
-        )
-        (proj_u, _, _), (proj_i, _, _) = forward
-        omega_raw = propensity.estimate_learned(proj_u[u_inv], proj_i[i_inv])
+            base_u_norm, base_i_norm, u_inv, i_inv, proj.m_user, proj.m_item, config.lambda_rel)
+        omega_raw = _learned_omega_raw(forward, u_inv, i_inv)
         _, weights = propensity.inverse_weights(omega_raw, config.mu)
         if config.propensity_grad_through:
             extra_mu, extra_mi = losses.ipw_through_projection_grads(
@@ -307,21 +299,24 @@ def train_step(
     return values
 
 
+def _learned_omega_raw(forward: tuple, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Raw learned omega of the pairs (users[k], items[k]), read from the
+    unit rows of a losses.relation_forward pair; the one read of omega for
+    train_step and learned_propensities."""
+    (proj_u, _, _), (proj_i, _, _) = forward
+    return propensity.estimate_learned(proj_u[users], proj_i[items])
+
+
 def learned_propensities(
     model: EmbeddingTable, projections: ProjectionPair, pairs: np.ndarray, mu: float
 ) -> np.ndarray:
     """Clipped learned propensity of each pair, the omega whose inverse
     train_step uses as the uctrl alignment weight."""
-    forward = losses.relation_forward(
-        normalize_rows(model.user_vecs.astype(np.float64)),
-        normalize_rows(model.item_vecs.astype(np.float64)),
-        projections.m_user.astype(np.float64),
-        projections.m_item.astype(np.float64),
-    )
-    (proj_u, _, _), (proj_i, _, _) = forward
-    omega_raw = propensity.estimate_learned(proj_u[pairs[:, 0]], proj_i[pairs[:, 1]])
-    omega, _ = propensity.inverse_weights(omega_raw, mu)
-    return omega
+    forward = losses.relation_forward(normalize_rows(model.user_vecs),
+                                      normalize_rows(model.item_vecs),
+                                      projections.m_user, projections.m_item)
+    omega_raw = _learned_omega_raw(forward, pairs[:, 0], pairs[:, 1])
+    return propensity.inverse_weights(omega_raw, mu)[0]
 
 
 def train(

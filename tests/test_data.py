@@ -323,6 +323,25 @@ class TestRoundTrips:
             assert getattr(loaded, name).tobytes() == values.tobytes()
 
 
+class TestSplitBundle:
+    """A split's three sets share train's dimensions and labels; the
+    manifest save_split writes holds train's alone."""
+
+    def test_reordered_user_labels_rejected(self):
+        train = dm.InteractionSet(2, 2, np.array([[0, 1], [1, 0]]), ["a", "b"], ["x", "y"])
+        reordered = dm.InteractionSet(2, 2, np.array([[0, 0]]), ["b", "a"], ["x", "y"])
+        with pytest.raises(DataError, match="validation set: dimensions or labels"):
+            dm.SplitBundle(train, reordered, train.replaced([[1, 1]]), "preprovided")
+
+    @pytest.mark.parametrize("name", ["validation", "test"])
+    def test_other_dimensions_rejected(self, name):
+        train = dm.InteractionSet(2, 3, np.array([[0, 1], [1, 2]]))
+        sets = {"validation": train.replaced([[0, 0]]), "test": train.replaced([[1, 0]])}
+        sets[name] = dm.InteractionSet(3, 3, np.array([[2, 2]]))
+        with pytest.raises(DataError, match=f"{name} set: dimensions or labels"):
+            dm.SplitBundle(train, **sets, protocol_tag="preprovided")
+
+
 class TestInteractionSet:
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(DataError, match="duplicate"):

@@ -273,6 +273,29 @@ class TestTrainStep:
             m_updates[flag] = state.projections.m_user.copy()
         assert not np.array_equal(m_updates[False], m_updates[True])
 
+    def test_step_omega_is_learned_propensities(self, monkeypatch):
+        # The omega whose inverse weights a uctrl step is the omega that
+        # learned_propensities (and so --dump-propensities) reports.
+        _, bundle = toy_bundle(seed=5)
+        config = small_config(objective="uctrl", seed=7)
+        state = init_state(bundle.train.m, bundle.train.n, config)
+        real, seen = propensity.inverse_weights, []
+
+        def capture(omega_raw, mu):
+            out = real(omega_raw, mu)
+            seen.append(out[0])
+            return out
+
+        for idx in make_batches(bundle.train, 12, config.seed, 1)[:4]:
+            batch = bundle.train.pairs[idx]
+            want = trainer.learned_propensities(
+                state.model, state.projections, batch, config.mu)
+            with monkeypatch.context() as patch:
+                patch.setattr(propensity, "inverse_weights", capture)
+                train_step(state, batch, config)
+            assert len(seen) == 1
+            np.testing.assert_allclose(seen.pop(), want, rtol=0, atol=1e-12)
+
     def test_oracle_objective_uses_world(self):
         world, bundle = toy_bundle(seed=2)
         config = small_config(objective="ipw_align_oracle")
