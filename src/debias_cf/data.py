@@ -7,8 +7,9 @@ import json
 import math
 import re
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import count, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -69,9 +70,6 @@ class InteractionSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def pair_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(i)) for u, i in self.pairs}
 
     def user_counts(self) -> np.ndarray:
         return np.diff(self.user_ptr)
@@ -152,22 +150,58 @@ class SyntheticWorld:
             raise DataError("world item weights must be >= 0 and activities > 0")
 
 
+#: The first two UTF-8 bytes, as b0 << 8 | b1, of each non-ASCII character
+#: that str.lstrip strips (U+0085 to U+3000). A line that starts with any
+#: other character above U+0020 does not start with whitespace.
+_SPACE_PREFIXES = np.array([0xC285, 0xC2A0, 0xE19A, 0xE280, 0xE281, 0xE380])
+
+
 def _read_tsv(path, ids=None, lenient: bool = False):
-    """User and item index columns of a UTF-8 `user<TAB>item` file, and the
-    (user, item) id -> index maps. Lines end at LF, CRLF or a lone CR, and
-    blank ones are skipped. A log (ids None) skips '#' comment lines too and
-    maps ids in first-appearance order; a split file is looked up in ids."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    """User and item index columns of a UTF-8 `user<TAB>item` file and, for
+    a log, its user and item labels in index order. Lines end at LF, CRLF or
+    a lone CR, and blank ones are skipped. A log (ids None) skips '#'
+    comment lines too and indexes ids in first-appearance order; a split
+    file's ids are looked up in the (user, item) id -> index maps ids.
+
+    The line work runs in numpy over the bytes. A non-empty line whose
+    first byte is at most 0x20, or whose first two are in _SPACE_PREFIXES,
+    is decided by its str.lstrip(); any other line by its first byte alone.
+    So the skip rule stays str.lstrip's, Unicode whitespace and C0
+    separators included. The kept lines are decoded one run of consecutive
+    lines at a time, and a log hashes each id once."""
+    raw = Path(path).read_bytes()
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(raw, np.uint8)
+    stops = np.append(np.flatnonzero(buf == 10), len(raw))  # the last line needs no end
+    width = np.bincount(np.searchsorted(stops, np.flatnonzero(buf == 9)), minlength=len(stops))
+    width += 1  # fields per line: its TABs plus one
+    starts = np.concatenate(([0], stops[:-1] + 1))
     is_log = ids is None
-    kept = [bool(s := ln.lstrip()) and not (is_log and s[0] == "#") for ln in lines]
-    lines = list(compress(lines, kept))
-    width = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) + 1
-    fields = "\t".join(lines)
-    del text, lines  # before the field strings are made
+    kept = stops > starts  # an empty line is skipped
+    lines = np.flatnonzero(kept)
+    lead = buf[starts[lines]]
+    if is_log:
+        kept[lines[lead == ord("#")]] = False
+    view = memoryview(raw)
+    wide = lines[lead >= 0x80]  # a multi-byte first character, so its second byte is in raw
+    prefix = buf[starts[wide]].astype(np.int64) << 8 | buf[starts[wide] + 1]
+    odd = np.concatenate((lines[lead <= 0x20], wide[np.isin(prefix, _SPACE_PREFIXES)]))
+    kept[odd] = [bool(s := str(view[a:b], "utf-8").lstrip()) and not (is_log and s[0] == "#")
+                 for a, b in zip(starts[odd].tolist(), stops[odd].tolist())]
+    runs = np.flatnonzero(np.diff(kept, prepend=False, append=False)).reshape(-1, 2)
+    spans = zip(starts[runs[:, 0]].tolist(), stops[runs[:, 1] - 1].tolist())  # bytes of each run
+    width = width[kept]
+    del buf, starts, stops, lines, lead, wide, prefix, odd, runs
+    text = "\n".join([str(view[a:b], "utf-8") for a, b in spans])
+    del raw, view  # before the field strings are made
+    fields = text.replace("\n", "\t")
+    del text
     fields = fields.split("\t")
     if len(width) and (width == 2).all():
         users, items = fields[0::2], fields[1::2]
@@ -176,11 +210,13 @@ def _read_tsv(path, ids=None, lenient: bool = False):
         fields.append("")
         users, items = [fields[k] for k in first], [fields[k + 1] for k in first]
     del fields
-    if is_log:  # first-appearance order; "" is left out, so it looks up as unknown
-        ids = [dict(zip(filter(None, dict.fromkeys(column)), range(len(column))))
-               for column in (users, items)]
-    u = np.fromiter(map(ids[0].get, users, repeat(-1)), np.int64, len(users))
-    i = np.fromiter(map(ids[1].get, items, repeat(-1)), np.int64, len(items))
+    if is_log:
+        (user_labels, u), (item_labels, i) = map(_first_appearance, (users, items))
+        labels = user_labels, item_labels
+    else:
+        labels = None
+        u = np.fromiter(map(ids[0].get, users, repeat(-1)), np.int64, len(users))
+        i = np.fromiter(map(ids[1].get, items, repeat(-1)), np.int64, len(items))
     bad_width = width < 2 if lenient else width != 2
     failed = bad_width | (u < 0) | (i < 0)
     if failed.any():  # the first bad line, as a line-by-line parse finds it
@@ -192,25 +228,37 @@ def _read_tsv(path, ids=None, lenient: bool = False):
                        else "expected 2 fields")
         lineno = np.flatnonzero(kept)[k] + 1  # kept: one flag per line of the file
         raise DataError(f"{path}: line {lineno}: {problem}")
-    return u, i, ids
+    return u, i, labels
+
+
+def _first_appearance(column: list[str]) -> tuple[list[str], np.ndarray]:
+    """A column's non-empty ids in first-appearance order, and each field's
+    index among them (-1 for ""). Each field is hashed once: a new id draws
+    the next index from the counter."""
+    index = defaultdict(count().__next__, {"": -1})
+    at = np.fromiter(map(index.__getitem__, column), np.int64, len(column))
+    del index[""]
+    return list(index), at
 
 
 def load_interactions(path, lenient: bool = False) -> InteractionSet:
     """Parse a UTF-8 TSV of `user_id<TAB>item_id` lines into dense indices.
 
     Ids are non-empty strings, mapped in first-appearance order; duplicate
-    pairs collapse to one. Blank lines and '#' comment lines are skipped.
-    With lenient=True, columns beyond the second are ignored; otherwise any
-    line without exactly two fields is a parse error.
+    pairs collapse to one. Blank lines and '#' comment lines are skipped:
+    a line is blank when str.lstrip() leaves nothing of it, and a comment
+    when what it leaves starts with '#'. With lenient=True, columns beyond
+    the second are ignored; otherwise any line without exactly two fields is
+    a parse error. _read_tsv does the line work in numpy over the bytes.
     """
-    users, items, (user_ids, item_ids) = _read_tsv(path, lenient=lenient)
+    users, items, (user_labels, item_labels) = _read_tsv(path, lenient=lenient)
     if not len(users):
         raise DataError(f"{path}: no interactions")
-    n = len(item_ids)
+    n = len(item_labels)
     key = np.sort(users * n + items)
     key = key[np.diff(key, prepend=-1) != 0]  # duplicates collapse
-    return InteractionSet(len(user_ids), n, np.stack([key // n, key % n], axis=1),
-                          list(user_ids), list(item_ids))
+    return InteractionSet(len(user_labels), n, np.stack([key // n, key % n], axis=1),
+                          user_labels, item_labels)
 
 
 def _draw(rng: np.random.Generator, idx: np.ndarray, rate: float, out: np.ndarray) -> None:

@@ -252,6 +252,11 @@ def random_interaction_set(rng, m=None, n=None, density=0.3, ensure_users=True):
     return InteractionSet(m, n, pairs)
 
 
+def pair_set(iset):
+    """The set's (user, item) pairs as a set of int tuples."""
+    return {(int(u), int(i)) for u, i in iset.pairs}
+
+
 def user_items(iset, u):
     """User u's items, ascending: its CSR range of the sorted pairs."""
     return iset.pairs[iset.user_ptr[u] : iset.user_ptr[u + 1], 1]

@@ -29,6 +29,7 @@ from conftest import (
     brute_force_topk,
     central_difference,
     max_relative_error,
+    pair_set,
     random_interaction_set,
     unit_inverse_weights,
     user_items,
@@ -344,7 +345,7 @@ def test_criterion_5_metric_oracles():
             rng.normal(size=(n, 5)).astype(np.float32),
         )
         train_set = random_interaction_set(rng, m, n, density=0.15)
-        clicked = train_set.pair_set()
+        clicked = pair_set(train_set)
         free = np.array(
             [(u, i) for u in range(m) for i in range(n) if (u, i) not in clicked]
         )
@@ -498,10 +499,10 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for seed in range(1000):
         iset = base_sets[seed % len(base_sets)]
         bundle = split_unbiased_protocol(iset, 0.2, 0.15, seed=seed)
-        tr = bundle.train.pair_set()
-        va = bundle.validation.pair_set()
-        te = bundle.test.pair_set()
-        if tr | va | te != iset.pair_set() or (tr & va) or (tr & te) or (va & te):
+        tr = pair_set(bundle.train)
+        va = pair_set(bundle.validation)
+        te = pair_set(bundle.test)
+        if tr | va | te != pair_set(iset) or (tr & va) or (tr & te) or (va & te):
             ok_splits = False
             break
 

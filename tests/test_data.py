@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from debias_cf import data as dm
 from debias_cf.errors import ConfigError, DataError
 from debias_cf.util import rng_from
+from conftest import pair_set
 
 
 def write_tsv(tmp_path, text, name="inter.tsv"):
@@ -23,7 +25,7 @@ class TestLoadInteractions:
         path = write_tsv(tmp_path, "a\tX\na\tY\nb\tX\na\tX\n")
         iset = dm.load_interactions(path)
         assert (iset.m, iset.n) == (2, 2)
-        assert iset.pair_set() == {(0, 0), (0, 1), (1, 0)}
+        assert pair_set(iset) == {(0, 0), (0, 1), (1, 0)}
         assert iset.user_labels == ["a", "b"]
         assert iset.item_labels == ["X", "Y"]
 
@@ -64,6 +66,8 @@ LOG_CORPUS = {
     "ids-with-spaces-and-non-ascii":
         " a b \tX y \nü\tñ\n日本\t語\n\ufeffa\tX\na\u2028b\tX\n".encode(),
     "duplicate-pairs": b"a\tX\na\tX\nb\tX\na\tX\nb\tY\nb\tX\n",
+    "non-ascii-first-characters":
+        "カ\tX\n€\tY\n、\tZ\n\u2028\n\u205f# c\n\u1680\n\u00a0#\n\u0085\n©\tX\n".encode(),
 }
 
 #: Logs that only lenient parsing accepts.
@@ -105,6 +109,29 @@ SPLIT_ERRORS = {
     "one-field-after-blank-lines": b"\r\n\n \na b\n",
     "not-utf8-beyond-64k": b"x\tY\n" * 20_000 + b"\xfe\n",
 }
+
+
+def long_mixed_log(seed: int, pairs: int = 20_000, bad_line: str | None = None) -> bytes:
+    """A seeded log of about `pairs` pair lines in random LF, CRLF and lone
+    CR ends, with no final line end. Runs of skipped lines stand at its
+    start, middle and end, and single ones between the pairs; some ids start
+    with a character that str.lstrip decides on. bad_line, if given, stands
+    100 pairs before the end."""
+    rng = np.random.default_rng(seed)
+    users = [f"u{k}" for k in range(500)] + [" lead", "\x1cu", "\x85v", "ü"]
+    items = [f"i{k}" for k in range(300)] + ["\u3000j", "#h", "x y"]
+    skipped = ["", "  ", "# c", "\t# t", "\u3000", "\x1f# note", "\x85", "\x1c"]
+    lines = [f"{users[u]}\t{items[i]}" for u, i in zip(
+        rng.integers(0, len(users), pairs).tolist(), rng.integers(0, len(items), pairs).tolist())]
+    if bad_line is not None:
+        lines.insert(len(lines) - 100, bad_line)
+    for at in sorted(rng.choice(len(lines), pairs // 30, replace=False).tolist(), reverse=True):
+        lines.insert(at, skipped[at % len(skipped)])
+    start, middle, end = ([skipped[k] for k in rng.integers(0, len(skipped), size).tolist()]
+                          for size in (40, 60, 40))
+    lines = start + lines[:len(lines) // 2] + middle + lines[len(lines) // 2:] + end
+    ends = rng.choice(["\n", "\r\n", "\r"], len(lines) - 1).tolist()
+    return ("".join(map(str.__add__, lines, ends)) + lines[-1]).encode()
 
 
 def write_split_dir(tmp_path, train: bytes):
@@ -176,6 +203,25 @@ class TestReaderMatchesReference:
             assert_same_error(lambda: dm.load_interactions(path, lenient=lenient),
                               lambda: reference_load_interactions(path, lenient=lenient))
 
+    def test_space_prefixes_cover_str_isspace(self):
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert all(c <= " " for c in spaces if c.isascii())
+        prefixes = {int.from_bytes(c.encode()[:2], "big") for c in spaces if not c.isascii()}
+        assert prefixes <= set(dm._SPACE_PREFIXES.tolist())
+
+    def test_long_mixed_log(self, tmp_path):
+        from conftest import reference_load_interactions
+
+        path = tmp_path / "log.tsv"
+        path.write_bytes(long_mixed_log(11))
+        for lenient in (False, True):
+            assert_same_set(dm.load_interactions(path, lenient=lenient),
+                            reference_load_interactions(path, lenient=lenient))
+        path.write_bytes(long_mixed_log(11, bad_line="u1"))
+        for lenient in (False, True):
+            assert_same_error(lambda: dm.load_interactions(path, lenient=lenient),
+                              lambda: reference_load_interactions(path, lenient=lenient))
+
     @pytest.mark.parametrize("name", sorted(SPLIT_CORPUS))
     def test_split_corpus(self, tmp_path, name):
         split = write_split_dir(tmp_path, SPLIT_CORPUS[name])
@@ -219,9 +265,18 @@ class TestReaderMatchesReference:
         assert len(getattr(dm.load_split(split), first)) == 2
 
 
+#: First characters that the reader's first-byte rule leaves to str.lstrip:
+#: the C0 separators (whitespace to str.lstrip) and NEL.
+LSTRIP_LEADS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85"]
+
 #: Any label text, including what a split file cannot hold: TAB, LF, CR,
-#: surrogates, and blank labels.
-split_labels = st.text(max_size=6)
+#: surrogates, and blank labels; and labels that start with a LSTRIP_LEADS
+#: character, a comment behind one of them included.
+split_labels = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from([*LSTRIP_LEADS, "\x1f# note"]),
+    st.tuples(st.sampled_from(LSTRIP_LEADS), st.text(max_size=5)).map("".join),
+)
 
 
 def unreadable_split(sets):
@@ -235,11 +290,13 @@ def unreadable_split(sets):
     return any(not users[u].strip() and not items[i].strip() for s in sets for u, i in s.pairs)
 
 
-#: Log lines: pairs of labels from a small pool, blank and comment lines.
+#: Log lines: pairs of labels from a small pool, blank and comment lines,
+#: with LSTRIP_LEADS characters first.
 log_lines = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["a", " b", "ü", "日 本", "#", "", "c\x0b"]),
+    st.tuples(st.sampled_from(["a", " b", "ü", "日 本", "#", "", "c\x0b", "\x1ca", "\x85#"]),
               st.sampled_from(["X", "y ", "ñ", "", "\u00a0"])),
-    st.sampled_from(["", "  ", "# note", "\t# tab note", "\u3000"]),
+    st.sampled_from(["", "  ", "# note", "\t# tab note", "\u3000", *LSTRIP_LEADS,
+                     "\x1f# note"]),
 ), max_size=12)
 
 
@@ -279,6 +336,15 @@ class TestRoundTrips:
         assert loaded.protocol_tag == tag
         for a, b in zip(sets, (loaded.train, loaded.validation, loaded.test)):
             assert_same_set(b, a)
+
+    def test_split_of_long_mixed_log(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_bytes(long_mixed_log(12))
+        bundle = dm.split_unbiased_protocol(dm.load_interactions(path), 0.1, 0.1, seed=3)
+        dm.save_split(bundle, tmp_path / "split")
+        loaded = dm.load_split(tmp_path / "split")
+        for name in dm._SET_NAMES:
+            assert_same_set(getattr(loaded, name), getattr(bundle, name))
 
     @settings(max_examples=80, deadline=None)
     @given(lines=log_lines, ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=13,
@@ -357,7 +423,7 @@ class TestInteractionSet:
         pairs = np.array([[0, 0], [1, 1]])
         iset = dm.InteractionSet(2, 2, pairs)
         pairs[0] = [1, 0]
-        assert iset.pair_set() == {(0, 0), (1, 1)}
+        assert pair_set(iset) == {(0, 0), (1, 1)}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DataError):
@@ -520,11 +586,11 @@ class TestSplit:
         iset = random_interaction_set(np.random.default_rng(data_seed))
         bundle = dm.split_unbiased_protocol(iset, 0.2, 0.2, seed=seed)
         tr, va, te = (
-            bundle.train.pair_set(),
-            bundle.validation.pair_set(),
-            bundle.test.pair_set(),
+            pair_set(bundle.train),
+            pair_set(bundle.validation),
+            pair_set(bundle.test),
         )
-        assert tr | va | te == iset.pair_set()
+        assert tr | va | te == pair_set(iset)
         assert not (tr & va) and not (tr & te) and not (va & te)
 
 
