@@ -17,6 +17,7 @@ to them.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -34,7 +35,7 @@ from .embedding import (
     normalize_rows_full,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .util import check_seed, rng_from
+from .util import both, check_seed, rng_from
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +100,13 @@ class Adam:
     Moments live in float64 keyed by tensor name; one shared step counter
     advances per batch. The update is dense: every row's moments decay and
     every row moves, also rows the batch did not touch.
+
+    A step runs in two lanes through `util.both`: the rows of the stepped
+    tensors, taken in order, are cut at the middle row, and the second
+    half goes to the worker thread while the caller's thread updates the
+    first. Each element goes through the same operations either way, so
+    the result does not depend on where the lanes run. Each lane owns the
+    two block buffers allocated here, so a step allocates no block memory.
     """
 
     beta1 = 0.9
@@ -113,6 +121,9 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
         self.v = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
+        block = max((min(ADAM_BLOCK_ROWS, s[0]) * math.prod(s[1:]) for s in shapes.values()),
+                    default=0)
+        self._scratch = [(np.empty(block), np.empty(block)) for _ in range(2)]
 
     def step(
         self,
@@ -123,37 +134,59 @@ class Adam:
         in place; returns the updated tensors.
 
         A gradient is either an array of the tensor's shape or a pair
-        (rows, row_grads) of unique row indices and their gradient rows;
-        the rows it leaves out have zero gradient. The arithmetic is
+        (rows, row_grads) of strictly increasing row indices and their
+        gradient rows; the rows it leaves out have zero gradient. Other
+        row indices raise ValueError naming the tensor. The arithmetic is
         float64 whatever the parameter's dtype, and the result is rounded
         to that dtype, so a float32 table gets exactly what a float64 copy
         updated with a zero-filled dense gradient would round to.
         """
+        tensors = [(params[name], self.m[name], self.v[name],
+                    *_row_gradient(name, params[name], g)) for name, g in grads.items()]
         self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        cut = sum(len(tensor[0]) for tensor in tensors) // 2
+        lanes = ([], [])
+        start = 0
+        for tensor in tensors:
+            stop = start + len(tensor[0])
+            if start < cut:
+                lanes[0].append((tensor, 0, min(stop, cut) - start))
+            if stop > cut:
+                lanes[1].append((tensor, max(start, cut) - start, stop - start))
+            start = stop
+        both(functools.partial(self._lane, lanes[0], self._scratch[0], bc1, bc2),
+             functools.partial(self._lane, lanes[1], self._scratch[1], bc1, bc2),
+             cut)
+        return {name: params[name] for name in grads}
+
+    def _lane(self, segments, scratch, bc1: float, bc2: float) -> None:
+        """Update rows lo:hi of each (tensor, lo, hi) in segments: decay
+        both moments, add the gradient rows that fall in the range, then
+        move the parameters 512 rows at a time through scratch."""
         b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
         lr_wd = self.lr * self.weight_decay
-        out = {}
-        for name, g in grads.items():
-            p = params[name]
-            m = self.m[name]
-            v = self.v[name]
-            rows = slice(None)
-            if isinstance(g, tuple):
-                rows, g = g
+        for (p, m, v, rows, g), lo, hi in segments:
+            m_seg, v_seg = m[lo:hi], v[lo:hi]
+            m_seg *= b1
+            v_seg *= b2
             # A zero gradient would add +0.0, which leaves every moment
             # unchanged (a moment is never -0.0), so only touched rows add.
-            m *= b1
-            m[rows] += (1.0 - b1) * g
-            v *= b2
-            v[rows] += (1.0 - b2) * g * g
-            den_buf = np.empty((min(ADAM_BLOCK_ROWS, len(p)),) + p.shape[1:])
-            upd_buf = np.empty_like(den_buf)
-            for r0 in range(0, len(p), ADAM_BLOCK_ROWS):
-                blk = slice(r0, r0 + ADAM_BLOCK_ROWS)
+            if rows is None:
+                g = g[lo:hi]
+                m_seg += (1.0 - b1) * g
+                v_seg += (1.0 - b2) * g * g
+            else:
+                a, b = np.searchsorted(rows, (lo, hi))
+                rows, g = rows[a:b], g[a:b]
+                m[rows] += (1.0 - b1) * g
+                v[rows] += (1.0 - b2) * g * g
+            for r0 in range(lo, hi, ADAM_BLOCK_ROWS):
+                blk = slice(r0, min(r0 + ADAM_BLOCK_ROWS, hi))
                 p_blk = p[blk]
-                den, upd = den_buf[: len(p_blk)], upd_buf[: len(p_blk)]
+                den = scratch[0][: p_blk.size].reshape(p_blk.shape)
+                upd = scratch[1][: p_blk.size].reshape(p_blk.shape)
                 np.divide(v[blk], bc2, out=den)
                 np.sqrt(den, out=den)
                 den += self.eps
@@ -172,8 +205,25 @@ class Adam:
                     np.multiply(lr_wd, p_blk, out=den, dtype=np.float64)
                     upd -= den
                 p_blk[...] = upd
-            out[name] = p
-        return out
+
+
+def _row_gradient(name: str, p: np.ndarray, g) -> tuple:
+    """(rows, row_grads) of one tensor's gradient, rows None for a dense
+    gradient. A lane takes the gradient rows inside its range, so row
+    indices must be strictly increasing and within the tensor, one
+    gradient row each; otherwise ValueError names the tensor. (numpy's
+    buffered m[rows] += ... would also keep only one of a repeated row's
+    gradients.)"""
+    if not isinstance(g, tuple):
+        return None, g
+    rows, g = np.asarray(g[0]), g[1]
+    if rows.ndim != 1 or g.shape != rows.shape + p.shape[1:]:
+        raise ValueError(f"tensor {name!r}: {len(rows)} row indices with gradient "
+                         f"rows of shape {g.shape}")
+    if len(rows) and (rows[0] < 0 or rows[-1] >= len(p) or (rows[1:] <= rows[:-1]).any()):
+        raise ValueError(f"tensor {name!r}: row indices must be strictly increasing "
+                         f"and lie in [0, {len(p)})")
+    return rows, g
 
 
 @dataclass

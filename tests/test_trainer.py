@@ -156,6 +156,74 @@ class TestAdam:
                 assert opt.v[name].tobytes() == ref.v[name].tobytes(), (name, step)
         assert 1.0 - Adam.beta1**opt.t == 1.0
 
+    # (user rows, item rows) at d = 4, two 4x4 projections. The rows are cut
+    # at the middle: (300, 700) puts the users wholly in the first lane and
+    # cuts the items at row 204, the projections wholly in the second; the
+    # other two put PARALLEL_MIN_ROWS - 1 and PARALLEL_MIN_ROWS rows in the
+    # smaller lane.
+    LANE_SHAPES = [(300, 700), (200, 2 * util.PARALLEL_MIN_ROWS - 209),
+                   (200, 2 * util.PARALLEL_MIN_ROWS - 208)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    @pytest.mark.parametrize("n_user, n_item", LANE_SHAPES)
+    def test_lanes_byte_identical_to_dense_reference(
+        self, monkeypatch, cpus, weight_decay, n_user, n_item
+    ):
+        # 360 steps pass step 356, from which 1 - beta1**t rounds to 1.0;
+        # a third of the rows start at -0.0. Compared as bytes, so a -0.0
+        # where the reference has +0.0 fails.
+        rng = np.random.default_rng(n_item)
+        d = 4
+        shapes = {"user_vecs": (n_user, d), "item_vecs": (n_item, d),
+                  "m_user": (d, d), "m_item": (d, d)}
+        params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        for p in params.values():
+            p[::3] = -0.0
+        smaller_lane = sum(s[0] for s in shapes.values()) // 2
+        cut = smaller_lane - n_user  # the items' first row in the second lane
+        threads = set()
+        lane = Adam._lane
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return lane(*args)
+
+        monkeypatch.setattr(Adam, "_lane", recording)
+        monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+        kw = dict(lr=0.01, weight_decay=weight_decay)
+        opt, ref = Adam(shapes, **kw), Adam(shapes, **kw)
+        expected = {k: p.copy() for k, p in params.items()}
+        for step in range(360):
+            grads = {name: rng.normal(size=(d, d)) for name in ("m_user", "m_item")}
+            for name in ("user_vecs", "item_vecs"):
+                rows = rng.integers(0, shapes[name][0], size=12)
+                rows = np.unique(np.append(rows, [cut - 1, cut]) if name == "item_vecs" else rows)
+                grads[name] = (rows, rng.normal(size=(len(rows), d)))
+            expected = reference_adam_step(ref, expected, grads)
+            opt.step(params, grads)
+            for name in shapes:
+                assert params[name].tobytes() == expected[name].tobytes(), (name, step)
+                assert opt.m[name].tobytes() == ref.m[name].tobytes(), (name, step)
+                assert opt.v[name].tobytes() == ref.v[name].tobytes(), (name, step)
+        assert (len(threads) == 2) == (cpus == 2 and smaller_lane >= util.PARALLEL_MIN_ROWS)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([1, 1], "strictly increasing"), ([2, 1], "strictly increasing"),
+        ([-1, 2], "strictly increasing"), ([0, 5], "strictly increasing"),
+        ([0, 1, 2], "3 row indices with gradient rows of shape"),
+    ])
+    def test_rejects_malformed_row_gradients(self, rows, message):
+        opt = Adam({"user_vecs": (5, 2), "m_user": (2, 2)}, lr=0.1)
+        params = {"user_vecs": np.ones((5, 2)), "m_user": np.ones((2, 2))}
+        grads = {"m_user": np.ones((2, 2)),
+                 "user_vecs": (np.array(rows), np.array([[2.0, 2.0], [5.0, 5.0]]))}
+        with pytest.raises(ValueError, match=f"'user_vecs'.*{message}"):
+            opt.step(params, grads)
+        # Nothing moved, not even the tensor checked before the bad one.
+        assert opt.t == 0 and not opt.m["m_user"].any()
+        assert (params["m_user"] == 1.0).all() and (params["user_vecs"] == 1.0).all()
+
 
 class TestTrainStep:
     def test_lr_zero_only_advances_counters(self):
@@ -695,5 +763,47 @@ class TestConcurrentSides:
         assert serial.state.opt.t == concurrent.state.opt.t
         assert (serial.best_epoch, serial.best_val_ndcg) == (
             concurrent.best_epoch, concurrent.best_val_ndcg)
+        for a, b in zip(serial.history, concurrent.history, strict=True):
+            assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
+
+    def test_adam_lanes_on_the_worker_train_identically(self, bundle, monkeypatch):
+        # 300 + 450 + 2 x 8 rows put 383 in each of Adam's lanes, so at 2
+        # CPUs the worker runs one lane of every step, while the loss sides
+        # of a 128-pair batch stay on the caller's thread.
+        config = small_config(d=8, epochs=2, seed=4, batch_size=128)
+        side_threads, lane_threads = set(), set()
+        accumulate, lane = losses._accumulate_side, Adam._lane
+
+        def recording_side(*args):
+            side_threads.add(threading.current_thread())
+            return accumulate(*args)
+
+        def recording_lane(*args):
+            lane_threads.add(threading.current_thread())
+            return lane(*args)
+
+        monkeypatch.setattr(losses, "_accumulate_side", recording_side)
+        monkeypatch.setattr(Adam, "_lane", recording_lane)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
+            side_threads.clear()
+            lane_threads.clear()
+            results.append(train(bundle, config))
+            assert side_threads == {threading.main_thread()}
+            assert len(lane_threads) == cpus
+        serial, concurrent = results
+
+        def tensors(result):
+            state = result.state
+            yield from trainer._tensors(state.model, state.projections).values()
+            yield from trainer._tensors(result.best_model, result.best_projections).values()
+            for name in sorted(state.opt.m):
+                yield state.opt.m[name]
+                yield state.opt.v[name]
+
+        for a, b in zip(tensors(serial), tensors(concurrent), strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert serial.state.opt.t == concurrent.state.opt.t
         for a, b in zip(serial.history, concurrent.history, strict=True):
             assert {**a, "wall_ms": 0} == {**b, "wall_ms": 0}
