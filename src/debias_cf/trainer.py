@@ -90,40 +90,42 @@ class TrainConfig:
 
 
 #: Rows of a tensor per pass of Adam's bias-corrected update; the block's
-#: two float64 temporaries stay in L2 cache.
+#: two temporaries, in the tensor's dtype, stay in L2 cache.
 ADAM_BLOCK_ROWS = 512
 
 
 class Adam:
     """Plain Adam with bias correction and decoupled weight decay.
 
-    Moments live in float64 keyed by tensor name; one shared step counter
-    advances per batch. The update is dense: every row's moments decay and
-    every row moves, also rows the batch did not touch.
+    The constructor takes the tensors by name and reads only their shapes
+    and dtypes: moments are held in each tensor's own dtype, so float32
+    tables get float32 moments and float32 arithmetic. One shared step
+    counter advances per batch. The update is dense: every
+    row's moments decay and every row moves, also rows the batch did not
+    touch.
 
     A step runs in two lanes through `util.both`: the rows of the stepped
     tensors, taken in order, are cut at the middle row, and the second
     half goes to the worker thread while the caller's thread updates the
     first. Each element goes through the same operations either way, so
-    the result does not depend on where the lanes run. Each lane owns the
-    two block buffers allocated here, so a step allocates no block memory.
+    the result does not depend on where the lanes run. Each lane owns one
+    byte buffer allocated here and viewed in each tensor's dtype as its
+    two block temporaries, so a step allocates no block memory.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(
-        self, shapes: dict[str, tuple[int, ...]], lr: float, weight_decay: float = 0.0
-    ):
+    def __init__(self, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
-        self.v = {k: np.zeros(s, dtype=np.float64) for k, s in shapes.items()}
-        block = max((min(ADAM_BLOCK_ROWS, s[0]) * math.prod(s[1:]) for s in shapes.values()),
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        block = max((2 * min(ADAM_BLOCK_ROWS, len(p)) * p[:1].nbytes for p in params.values()),
                     default=0)
-        self._scratch = [(np.empty(block), np.empty(block)) for _ in range(2)]
+        self._scratch = [np.empty(block, dtype=np.uint8) for _ in range(2)]
 
     def step(
         self,
@@ -136,13 +138,14 @@ class Adam:
         A gradient is either an array of the tensor's shape or a pair
         (rows, row_grads) of strictly increasing row indices and their
         gradient rows; the rows it leaves out have zero gradient. Other
-        row indices raise ValueError naming the tensor. The arithmetic is
-        float64 whatever the parameter's dtype, and the result is rounded
-        to that dtype, so a float32 table gets exactly what a float64 copy
-        updated with a zero-filled dense gradient would round to.
+        row indices, or a tensor whose dtype is not its moments', raise
+        ValueError naming the tensor. The gradient is rounded to the
+        tensor's dtype and the arithmetic runs in that dtype, so the result
+        is exactly dense Adam in that dtype with a zero-filled gradient.
         """
         tensors = [(params[name], self.m[name], self.v[name],
-                    *_row_gradient(name, params[name], g)) for name, g in grads.items()]
+                    *_row_gradient(name, params[name], self.m[name], g))
+                   for name, g in grads.items()]
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -185,38 +188,42 @@ class Adam:
             for r0 in range(lo, hi, ADAM_BLOCK_ROWS):
                 blk = slice(r0, min(r0 + ADAM_BLOCK_ROWS, hi))
                 p_blk = p[blk]
-                den = scratch[0][: p_blk.size].reshape(p_blk.shape)
-                upd = scratch[1][: p_blk.size].reshape(p_blk.shape)
+                den, upd = scratch[: 2 * p_blk.nbytes].view(p.dtype).reshape(2, *p_blk.shape)
                 np.divide(v[blk], bc2, out=den)
                 np.sqrt(den, out=den)
                 den += self.eps
-                if bc1 == 1.0:  # from step 356 on; m / 1.0 is m
+                # bc1 is float64, 1.0 from step 356 on; in float32 it rounds
+                # to 1.0 from step 165, and m / 1.0 is m either way.
+                if bc1 == 1.0:
                     np.divide(m[blk], den, out=upd)
                 else:
                     np.divide(m[blk], bc1, out=upd)
                     upd /= den
                 upd *= self.lr
-                # (p - lr * update) - (lr * wd) * p, in float64
+                # (p - lr * update) - (lr * wd) * p
                 np.subtract(p_blk, upd, out=upd)
                 if lr_wd == 0.0:
                     # p finite: x - 0*p is x + 0.0, signed zeros included
                     upd += 0.0
                 else:
-                    np.multiply(lr_wd, p_blk, out=den, dtype=np.float64)
+                    np.multiply(lr_wd, p_blk, out=den)
                     upd -= den
                 p_blk[...] = upd
 
 
-def _row_gradient(name: str, p: np.ndarray, g) -> tuple:
+def _row_gradient(name: str, p: np.ndarray, m: np.ndarray, g) -> tuple:
     """(rows, row_grads) of one tensor's gradient, rows None for a dense
-    gradient. A lane takes the gradient rows inside its range, so row
-    indices must be strictly increasing and within the tensor, one
-    gradient row each; otherwise ValueError names the tensor. (numpy's
-    buffered m[rows] += ... would also keep only one of a repeated row's
-    gradients.)"""
+    gradient, the gradient rounded to the tensor's dtype. A lane takes the
+    gradient rows inside its range, so row indices must be strictly
+    increasing and within the tensor, one gradient row each; otherwise,
+    or when the tensor's dtype differs from its moments' m, ValueError
+    names the tensor. (numpy's buffered m[rows] += ... would also keep
+    only one of a repeated row's gradients.)"""
+    if p.dtype != m.dtype:
+        raise ValueError(f"tensor {name!r} is {p.dtype}, its Adam moments {m.dtype}")
     if not isinstance(g, tuple):
-        return None, g
-    rows, g = np.asarray(g[0]), g[1]
+        return None, np.asarray(g, dtype=p.dtype)
+    rows, g = np.asarray(g[0]), np.asarray(g[1], dtype=p.dtype)
     if rows.ndim != 1 or g.shape != rows.shape + p.shape[1:]:
         raise ValueError(f"tensor {name!r}: {len(rows)} row indices with gradient "
                          f"rows of shape {g.shape}")
@@ -272,8 +279,7 @@ def _tensors(model: EmbeddingTable, projections: ProjectionPair) -> dict[str, np
 
 def init_state(m: int, n: int, config: TrainConfig) -> TrainState:
     model, projections = init_model(m, n, config.d, config.seed)
-    shapes = {name: t.shape for name, t in _tensors(model, projections).items()}
-    opt = Adam(shapes, lr=config.lr, weight_decay=config.weight_decay)
+    opt = Adam(_tensors(model, projections), lr=config.lr, weight_decay=config.weight_decay)
     return TrainState(model, projections, opt)
 
 

@@ -203,21 +203,22 @@ def reference_scatter_rows(inv, pair_grads, rows):
 
 
 def reference_adam_step(opt, params, grads):
-    """Dense Adam on float64 copies of the parameters, with row gradients
-    zero-filled to the full table. opt is a trainer.Adam used only for its
-    hyperparameters and state (t, m, v), which this function advances;
-    grads maps a name to a dense array or to (rows, row_grads). Returns new
-    arrays in the parameters' dtypes."""
+    """Dense Adam in each parameter's dtype, with row gradients zero-filled
+    to the full table and every gradient rounded to that dtype. opt is a
+    trainer.Adam used only for its hyperparameters and state (t, m, v),
+    which this function advances; grads maps a name to a dense array or to
+    (rows, row_grads). Returns the new arrays."""
     opt.t += 1
     bc1 = 1.0 - opt.beta1**opt.t
     bc2 = 1.0 - opt.beta2**opt.t
     out = {}
     for name, g in grads.items():
-        p = params[name].astype(np.float64)
+        p = params[name]
         if isinstance(g, tuple):
             rows, row_grads = g
             g = np.zeros_like(p)
             g[rows] = row_grads
+        g = np.asarray(g, dtype=p.dtype)
         m = opt.m[name]
         v = opt.v[name]
         m *= opt.beta1
@@ -225,8 +226,7 @@ def reference_adam_step(opt, params, grads):
         v *= opt.beta2
         v += (1.0 - opt.beta2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
-        new = p - opt.lr * update - opt.lr * opt.weight_decay * p
-        out[name] = new.astype(params[name].dtype)
+        out[name] = p - opt.lr * update - opt.lr * opt.weight_decay * p
     return out
 
 

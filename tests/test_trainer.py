@@ -72,7 +72,7 @@ class TestMakeBatches:
 class TestAdam:
     def test_matches_hand_recurrence(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        opt = Adam({"x": (1,)}, lr=lr)
+        opt = Adam({"x": np.zeros(1)}, lr=lr)
         p = np.array([0.5])
         values = []
         for _ in range(2):
@@ -95,7 +95,7 @@ class TestAdam:
 
     def test_decoupled_weight_decay(self):
         lr, wd = 0.1, 0.01
-        opt = Adam({"x": (1,)}, lr=lr, weight_decay=wd)
+        opt = Adam({"x": np.zeros(1)}, lr=lr, weight_decay=wd)
         p0 = np.array([2.0])
         p1 = opt.step({"x": p0}, {"x": np.array([0.0])})["x"]
         # zero gradient: only the decay term moves the parameter
@@ -110,8 +110,8 @@ class TestAdam:
             "m_user": (d, d),
         }
         kw = dict(lr=0.05, weight_decay=1e-2)
-        opt, ref = Adam(shapes, **kw), Adam(shapes, **kw)
         params = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        opt, ref = Adam(params, **kw), Adam(params, **kw)
         expected = {k: p.copy() for k, p in params.items()}
         for step in range(6):
             grads = {"m_user": rng.normal(size=(d, d))}
@@ -141,7 +141,7 @@ class TestAdam:
                   "m_user": proj.m_user}
         assert np.signbit(params["user_vecs"]).any()
         shapes = {k: p.shape for k, p in params.items()}
-        opt, ref = Adam(shapes, lr=0.01), Adam(shapes, lr=0.01)
+        opt, ref = Adam(params, lr=0.01), Adam(params, lr=0.01)
         expected = {k: p.copy() for k, p in params.items()}
         for step in range(400):
             grads = {"m_user": rng.normal(size=(d, d))}
@@ -192,7 +192,7 @@ class TestAdam:
         monkeypatch.setattr(Adam, "_lane", recording)
         monkeypatch.setattr(util, "usable_cpus", lambda: cpus)
         kw = dict(lr=0.01, weight_decay=weight_decay)
-        opt, ref = Adam(shapes, **kw), Adam(shapes, **kw)
+        opt, ref = Adam(params, **kw), Adam(params, **kw)
         expected = {k: p.copy() for k, p in params.items()}
         for step in range(360):
             grads = {name: rng.normal(size=(d, d)) for name in ("m_user", "m_item")}
@@ -214,8 +214,8 @@ class TestAdam:
         ([0, 1, 2], "3 row indices with gradient rows of shape"),
     ])
     def test_rejects_malformed_row_gradients(self, rows, message):
-        opt = Adam({"user_vecs": (5, 2), "m_user": (2, 2)}, lr=0.1)
         params = {"user_vecs": np.ones((5, 2)), "m_user": np.ones((2, 2))}
+        opt = Adam(params, lr=0.1)
         grads = {"m_user": np.ones((2, 2)),
                  "user_vecs": (np.array(rows), np.array([[2.0, 2.0], [5.0, 5.0]]))}
         with pytest.raises(ValueError, match=f"'user_vecs'.*{message}"):
@@ -223,6 +223,83 @@ class TestAdam:
         # Nothing moved, not even the tensor checked before the bad one.
         assert opt.t == 0 and not opt.m["m_user"].any()
         assert (params["m_user"] == 1.0).all() and (params["user_vecs"] == 1.0).all()
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_float32_matches_float32_hand_recurrence(self, wd):
+        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        f = np.float32
+        opt = Adam({"x": np.zeros(1, dtype=np.float32)}, lr=lr, weight_decay=wd)
+        p = np.array([0.5], dtype=np.float32)
+        grads = (1.0, -0.25)
+        values = []
+        for g in grads:
+            p = opt.step({"x": p}, {"x": np.array([g])})["x"]
+            values.append(p[0])
+
+        # the same recurrence in float32 scalars, in the step's operation order
+        m = v = f(0.0)
+        ph = f(0.5)
+        expected = []
+        for t, g in enumerate(map(f, grads), start=1):
+            m = m * f(b1) + f(1 - b1) * g
+            v = v * f(b2) + f(1 - b2) * g * g
+            update = (m / f(1 - b1**t)) / (np.sqrt(v / f(1 - b2**t)) + f(eps))
+            ph = (ph - f(lr) * update) - f(lr * wd) * ph
+            expected.append(ph)
+        assert opt.m["x"].dtype == opt.v["x"].dtype == p.dtype == np.float32
+        assert [type(x) for x in expected] == [np.float32, np.float32]
+        assert values == expected
+
+    def test_float32_and_float64_tensors_across_lanes_byte_identical(self, monkeypatch):
+        # 300 float32 rows and 400 float64 rows are cut at row 350, so the
+        # first lane views its buffer in both dtypes and the second lane
+        # runs on the worker.
+        rng = np.random.default_rng(11)
+        d = 4
+        params = {"user_vecs": rng.normal(size=(300, d)).astype(np.float32),
+                  "item_vecs": rng.normal(size=(400, d))}
+        threads = set()
+        lane = Adam._lane
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return lane(*args)
+
+        monkeypatch.setattr(Adam, "_lane", recording)
+        monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+        kw = dict(lr=0.01, weight_decay=1e-2)
+        opt, ref = Adam(params, **kw), Adam(params, **kw)
+        touched = {"user_vecs": np.unique(rng.integers(0, 300, size=40)),
+                   "item_vecs": np.array([10, 349, 350, 399])}
+        grads = {k: (rows, rng.normal(size=(len(rows), d))) for k, rows in touched.items()}
+        expected = reference_adam_step(ref, params, grads)
+        opt.step(params, grads)
+        assert len(threads) == 2
+        for name, dtype in (("user_vecs", np.float32), ("item_vecs", np.float64)):
+            assert params[name].dtype == opt.m[name].dtype == opt.v[name].dtype == dtype
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert opt.m[name].tobytes() == ref.m[name].tobytes(), name
+            assert opt.v[name].tobytes() == ref.v[name].tobytes(), name
+
+    def test_rejects_tensor_of_another_dtype_than_its_moments(self):
+        opt = Adam({"m_user": np.zeros((2, 2)), "user_vecs": np.zeros((3, 2), np.float32)},
+                   lr=0.1)
+        params = {"m_user": np.ones((2, 2)), "user_vecs": np.ones((3, 2))}
+        grads = {"m_user": np.ones((2, 2)), "user_vecs": np.ones((3, 2))}
+        with pytest.raises(ValueError, match="'user_vecs' is float64, its Adam moments float32"):
+            opt.step(params, grads)
+        assert opt.t == 0 and not opt.m["m_user"].any()
+        assert (params["m_user"] == 1.0).all()
+
+    def test_init_state_moments_are_float32(self):
+        state = init_state(5, 7, small_config())
+        tensors = trainer._tensors(state.model, state.projections)
+        assert set(state.opt.m) == set(state.opt.v) == set(tensors)
+        for name, t in tensors.items():
+            assert t.dtype == np.float32
+            for moment in (state.opt.m[name], state.opt.v[name]):
+                assert moment.dtype == np.float32 and moment.shape == t.shape
+                assert not moment.any()
 
 
 class TestTrainStep:
@@ -425,20 +502,20 @@ class TestTrainStep:
         dense_item[iids] = g_item
 
         # embedding-only optimizer ("relation term deleted")
-        opt_e = Adam({"user_vecs": (m, d), "item_vecs": (n, d)}, lr=config.lr)
+        opt_e = Adam({"user_vecs": init_user, "item_vecs": state.model.item_vecs}, lr=config.lr)
         new_e = opt_e.step(
             {
-                "user_vecs": init_user.astype(np.float64),
-                "item_vecs": state.model.item_vecs.astype(np.float64),
+                "user_vecs": init_user.copy(),
+                "item_vecs": state.model.item_vecs.copy(),
             },
             {"user_vecs": dense_user, "item_vecs": dense_item},
         )
         # projection-only optimizer ("weighted-alignment term deleted")
-        opt_p = Adam({"m_user": (d, d), "m_item": (d, d)}, lr=config.lr)
+        opt_p = Adam({"m_user": init_mu, "m_item": state.projections.m_item}, lr=config.lr)
         new_p = opt_p.step(
             {
-                "m_user": init_mu.astype(np.float64),
-                "m_item": state.projections.m_item.astype(np.float64),
+                "m_user": init_mu.copy(),
+                "m_item": state.projections.m_item.copy(),
             },
             {"m_user": g_mu, "m_item": g_mi},
         )
@@ -626,60 +703,60 @@ class TestTrain:
 
 
 #: SHA-256 of the four float32 tensors after a short fixed `train` on
-#: `toy_bundle(seed=5, m=60, n=80)` (875 training pairs), as trained before
-#: the training step's scatter and Adam update were streamlined (the two
-#: ipw cases: before their weights were resolved once per run). The bytes
+#: `toy_bundle(seed=5, m=60, n=80)` (875 training pairs), trained with
+#: Adam's moments and update arithmetic in the tables' float32. The bytes
 #: depend on the rounding of numpy's exp and sqrt and of the BLAS matrix
 #: products (x86-64, numpy 2.4, OpenBLAS 0.3); another build may round
 #: differently.
 PINNED_TRAIN_SHA256 = {
     "directau-b128": {
-        "user_vecs": "13b59f088320473e923276826e370c3222b5bc68f1e91d5fa45a8088421e851d",
-        "item_vecs": "3e62e329940cd4b7eabbc88cae1b18bd39d15c7552c14816f09a59604237341c",
+        "user_vecs": "8e711c4f99dbcf4fc1879b55c34c324909cf1c0e9e47b9f7e4e62b1d3ca42ae7",
+        "item_vecs": "a20bfe57958d41da627a812f37cf3b5976ec180fcc9330815550bb89e940e942",
         "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
         "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
     },
     "uctrl": {
-        "user_vecs": "3fedf26dd5e76756b937b0d00893dd1418428bc5d50a0aa3fab07cc0c6e233fb",
-        "item_vecs": "eb7de553b35c2252d216a170722485f9226b83c5315de1e421db08649e730f06",
-        "m_user": "02c450e9bc453952c15dfc6077c27f9ecdc914e55f3fa13c22bdf2d583e8cfca",
-        "m_item": "cb34a57d5138ef8afa2ae82151c89f24d2e1aa2ef54bd0d0a3460ebd8ed72709",
+        "user_vecs": "50689f26a48b79e1e2b12eae31091e8a8d189cecc07cc344ede87a036977737d",
+        "item_vecs": "4401daf21318e32fbc8c726623f8d1360ad466d5c8b644c0a21e96ea932e2072",
+        "m_user": "d5020cc5e671e429f930fb3a64b47fe42569d7e8afdac54f30c4fd80ba580029",
+        "m_item": "eacf71fe673c8f77ad71a40febd5c87094acbf524ac164af9e4e473554643435",
     },
     "uctrl-grad-through": {
-        "user_vecs": "877af8ea64a26dfa280d182ceacf980b301326178d1bafd58e5a9f4217869729",
-        "item_vecs": "ab922feddb3aead2e12dec56ed7281fdc30e0933fb2dcca62c040906e16b5d6c",
-        "m_user": "e97ac0e87ccfe3536a5dd9ca06cb3c0714569643ca88182efb13c2199a67e022",
-        "m_item": "dacf496cb09087385a0976ca98c18856916ea8264d7e73d42c421bb960e3182c",
+        "user_vecs": "3ed4ab961902cd90345726db51a1e3850a5f5c60935803d238c63a1ad0b49d80",
+        "item_vecs": "691dc92761045f0f41db44948151ad463f04f3aa1a3e9d2f54d9c2e834df9cc2",
+        "m_user": "662f01e4cb0c9abc25fcd4b28a8df6bfacb4abeaf2c0039f0892a78388aaf1a8",
+        "m_item": "5328443fd0f59c9982cc35790f7b888fbe88b3a6fc6759b0e89daadf198c1351",
     },
     "ipw-oracle": {
-        "user_vecs": "3c6dd995b155db583d9fe8e162b341d06a33ead6e1c8526e6a67dadd222706a8",
-        "item_vecs": "f4ef56ad1bd227cb47e4dd3a0edc10b229a9264810ef71bb5e575618f9e8caf0",
+        "user_vecs": "72e9e66f72b9b657064f5c13d2ad732526e2a484ef8c515917277ed24f369319",
+        "item_vecs": "c0e02c59f0aad527ed381cf5180c287f3feac3c7fd4382791b1a9de2259a510d",
         "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
         "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
     },
     "ipw-pop": {
-        "user_vecs": "899d76485918b78d1b6d51912b0ab7975eac73e374b8f454c81eb227872d4237",
-        "item_vecs": "d782a74b2ec3984803b78650ba0c35a6567d4ce09f880dc3da8a1f350ac5b78b",
+        "user_vecs": "86d2a8d56e02422978f2a1ffe7598217ce0ea153b1da938a8b69925d7b8663e1",
+        "item_vecs": "38d2358e1d0717fb3151e060c397b54c584baf7a9c449445f321ba66e67367af",
         "m_user": "8c35f8554733b22b685b30db45aad41fe02850ca1dbb65641784924ae0facd0c",
         "m_item": "fac8c2c3feb6a607e74478c960eb8d9d4ca9d5f33410ea90b01baa16dbe02876",
     },
     "uctrl-gamma0": {
-        "user_vecs": "fb1c957cf73eee1f099162c3f2c22dcbacc9efb8e27ec09152fa1f79de192639",
-        "item_vecs": "1a02703f41fef5d7a33a8571e3d9859260776327c7083ccf4c377141408cf2eb",
-        "m_user": "c8bc909333a0c22b50b19f8ca305744315881c11affaf547a8fb66ea4e0184b0",
-        "m_item": "ffe05884ba3690d3d342b61e7a01fc9f6025b53eb1329b3aa65156932dee3edd",
+        "user_vecs": "00da70873c4545eba05856e96790bd9aad9d5edc8c6c6a4679086fb22768eae7",
+        "item_vecs": "c75ea6c45f5030b2cb7a0085d1a067b31e5872d350d13bc71fef300b2c6faef6",
+        "m_user": "23bebde8e230689d24c102d2a7148d70501ab51d4b24855e1a672858c109a2de",
+        "m_item": "e2251debe4f25187631c4e0a0c69ad5597df06a11e82ccf82e752be51d787cc9",
     },
     "uctrl-lambda0": {
-        "user_vecs": "e26a6f01a50c27e7af9eb5ef62c0eedd74842cd4c8c4a4e37a9e8c179ca91362",
-        "item_vecs": "04e696822000abd33744ef8d3fa25854658b747f09fc02be1bea3c98a117671f",
-        "m_user": "5cf0caaaf92f44f8514b0286c177a119d2d44a9250ea302163e3962a4b2d3624",
-        "m_item": "6a4c04676e4d9ddb6d5871c7adcbeba68c6d1811fd2f4cc04e966b73058c442d",
+        "user_vecs": "452f6fa363cc44d765851824117bba4d483de1119d06769514e2f8a53b1e671a",
+        "item_vecs": "2e4debcc9bb49ecbd508392a3a6a5fa55e9be510d7a13018e445971eb55577e0",
+        "m_user": "c13e841cd99c62199114f9b0e5d544ab955ada0be6eb9afd70f5c0dafbbdf292",
+        "m_item": "63a761e8c96e93cd3b9bac6e32726e26263648339e9c0a45c7acedd0ab2d3735",
     },
 }
 
 PINNED_TRAIN_CONFIGS = {
     # 7 batches for 55 epochs: 385 steps, past step 356, from which
-    # 1 - beta1**t rounds to 1.0; weight_decay stays 0.
+    # 1 - beta1**t rounds to 1.0 in float64 (in float32 from step 165);
+    # weight_decay stays 0.
     "directau-b128": dict(objective="directau", batch_size=128, epochs=55),
     "uctrl": dict(objective="uctrl", weight_decay=1e-3),
     "uctrl-grad-through": dict(objective="uctrl", propensity_grad_through=True),
